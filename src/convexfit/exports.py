@@ -118,10 +118,6 @@ def load_fourier_csv(path):
     return FourierShape(np.array(a), np.array(b))
 
 
-def _chain_points(samples, tol):
-    return reconstruct_boundary(samples, tol=tol)
-
-
 def export_svg(container, shapes, path, size=640):
     """Container outline with shape overlays, deterministic bytes.
 
@@ -156,7 +152,7 @@ def export_svg(container, shapes, path, size=640):
     ]
     fills = ["#e0533d", "#3d8be0", "#3de07c", "#c93de0"]
     for i, shape in enumerate(shapes):
-        pts = _chain_points(shape, tol)
+        pts = reconstruct_boundary(shape, tol=tol)
         color = fills[i % len(fills)]
         parts.append(polyline(pts, f"fill:{color};fill-opacity:0.45;stroke:{color};stroke-width:1"))
     parts.append("</svg>")

@@ -28,7 +28,7 @@ from .geometry import (
     interior_point,
     support_eval,
 )
-from .multistart import InfeasibleError, best_violation_message, run_multistart, seed_key
+from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
 from .solver import NlpProblem, SolverParams, dense_h0_builder
 
@@ -306,17 +306,15 @@ def solve_fourier(
     best, failures, outcomes = run_multistart(nlp, starts, params, energy_fn, threads)
     if best is None:
         raise InfeasibleError(best_violation_message(failures, outcomes))
-    energy, idx, rank, x, result = best
+    energy, idx, _, x, result = best
     shape = FourierShape.from_vector(x)
     powered = fourier_objective(x, prob)[0]
     area = fourier_area(x)[0]
     row_violation = float(np.max(rows @ x - rhs, initial=0.0))
     inc_gap = prob.container_on_constraints - inc_rows @ x
     cvx_val = cvx_rows @ x
-    if result is not None and rank == 0:
-        status = result.status
-    else:
-        status = "max_iter"  # feasible retained start, optimality not certified
+    status, reason = best_status(best)
+    blended = f"blended row violation {row_violation:.1e}" if row_violation > 0 else ""
     return SolveResult(
         samples=fourier_to_nodal(shape, n_samples),
         energy=energy,
@@ -335,5 +333,5 @@ def solve_fourier(
         n_starts=len(starts),
         best_start=idx,
         fourier_coefficients=(shape.a, shape.b),
-        message="; ".join(failures) + (f"; blended row violation {row_violation:.1e}" if row_violation > 0 else ""),
+        message="; ".join(filter(None, failures + [reason, blended])),
     )

@@ -226,8 +226,12 @@ def convexity_residuals(h):
     every c_j is nonnegative.
     """
     v = h.values if isinstance(h, SupportSamples) else np.asarray(h, float)
-    c = np.cos(TWO_PI / v.size)
-    return np.roll(v, -1) + np.roll(v, 1) - 2.0 * c * v
+    c = np.empty_like(v)
+    np.add(v[2:], v[:-2], out=c[1:-1])
+    c[0] = v[1] + v[-1]
+    c[-1] = v[0] + v[-2]
+    c -= 2.0 * np.cos(TWO_PI / v.size) * v
+    return c
 
 
 def convexity_tolerance(h):

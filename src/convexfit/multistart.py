@@ -80,6 +80,28 @@ def run_multistart(nlp, starts, params, energy_fn, threads=1):
     return best, failures, outcomes
 
 
+def best_status(best):
+    """(status, reason) of the winning candidate; reason is empty when converged.
+
+    A polished point carries its solver's status and outer exit reason; a
+    raw start that was kept is feasible but its optimality is not certified.
+    """
+    _, idx, rank, _, result = best
+    if result is None:
+        return "max_iter", f"start {idx} kept its raw point: the solve aborted"
+    if rank != 0:
+        return "max_iter", (
+            f"start {idx} kept its raw point: the solved point ({result.reason}) "
+            "was worse or infeasible"
+        )
+    if result.status == "converged":
+        return "converged", ""
+    return result.status, (
+        f"not certified: solver stopped at {result.reason} "
+        f"(KKT residual {result.kkt_residual:.1e}, violation {result.max_violation:.1e})"
+    )
+
+
 def best_violation_message(failures, outcomes):
     finals = [o for _, o in outcomes if not isinstance(o, SolverAbort)]
     worst = min((r.max_violation for r in finals), default=np.inf)

@@ -25,11 +25,12 @@ from .geometry import (
     TWO_PI,
     _clip_halfplane,
     container_scale,
+    convexity_residuals,
     interior_point,
     support_samples,
     unit_vector,
 )
-from .multistart import InfeasibleError, best_violation_message, run_multistart, seed_key
+from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
 from .solver import NlpProblem, SolverParams
 
@@ -76,9 +77,8 @@ def nodal_area(h):
     """
     v = _values(h)
     n = v.size
-    cos = np.cos(TWO_PI / n)
-    kappa = (np.pi / n) / (2.0 - 2.0 * cos)
-    c = np.roll(v, -1) + np.roll(v, 1) - 2.0 * cos * v
+    kappa = (np.pi / n) / (2.0 - 2.0 * np.cos(TWO_PI / n))
+    c = convexity_residuals(v)
     return float(kappa * np.sum(v * c)), 2.0 * kappa * c
 
 
@@ -116,14 +116,11 @@ class ConstraintReport:
 
 def nodal_constraints(h, prob):
     v = _values(h)
-    n = v.size
-    cos = np.cos(TWO_PI / n)
-    c = np.roll(v, -1) + np.roll(v, 1) - 2.0 * cos * v
     area, _ = nodal_area(v)
     scale = max(prob.container_area_discrete, 1e-300)
     return ConstraintReport(
         inclusion=prob.container_values - v,
-        convexity=c,
+        convexity=convexity_residuals(v),
         area_residual=(area - prob.target_area) / scale,
     )
 
@@ -287,7 +284,7 @@ def _h0_builder(prob, nlp, obj_hess_diag, minimax=False):
 def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_starts):
     if best is None:
         raise InfeasibleError(best_violation_message(failures, outcomes))
-    energy, idx, rank, x, result = best
+    energy, idx, _, x, result = best
     values = x[: prob.n]
     report = nodal_constraints(values, prob)
     area = nodal_area(values)[0]
@@ -301,10 +298,7 @@ def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_start
         sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
         slack = None
     flagged = float(np.min(report.convexity)) >= -1e-9 * max(1.0, float(np.max(np.abs(values))))
-    if result is not None and rank == 0:
-        status = result.status
-    else:
-        status = "max_iter"  # feasible retained start, optimality not certified
+    status, reason = best_status(best)
     return SolveResult(
         samples=SupportSamples(values, convex_checked=flagged),
         energy=energy,
@@ -323,7 +317,7 @@ def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_start
         n_starts=n_starts,
         best_start=idx,
         minimax_slack=slack,
-        message="; ".join(failures),
+        message="; ".join(filter(None, failures + [reason])),
     )
 
 

@@ -116,7 +116,6 @@ class BruteForceReport:
     powered_value: float
     area_slack: float
     widened: bool
-    n_feasible: int
 
 
 def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
@@ -201,7 +200,6 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
         powered_value=powered,
         area_slack=4.0 * area_slack if widened else area_slack,
         widened=widened,
-        n_feasible=-1,
     )
 
 

@@ -11,6 +11,20 @@ steps on the active-set Gauss-Newton model of the augmented Lagrangian.
 The seed is what makes the nearly-degenerate convexity constraints of the
 shape problems tractable; plain L-BFGS crawls in their flat valleys.
 
+The line search evaluates its trials along a ray.  At every accepted point
+x the constraint residual r = A x - b is computed once, exactly, and A d
+once per search direction d.  A trial at x + s d calls the objective and
+equality callables but takes its hinge term from r + s A d: no matvec and
+no gradient assembly.  The accepted trial keeps the value it was accepted
+with as f(0) of the next search, and its gradient is completed there by
+adding A^T t, t taken from the exact residual, to the gradients the trial
+already returned.  The rounding of A x, which the penalty (up to 1e8)
+multiplies, thus enters a search once, as one offset shared by all its
+trials, instead of afresh in every trial.  Near the rounding floor a search
+therefore accepts early or fails and ends the inner loop; with a fresh
+matvec per trial it kept backtracking, 20 to 40 trials, until one trial's
+rounding read as a decrease.
+
 The solver draws no random numbers: identical inputs give bitwise
 identical iteration histories.
 """
@@ -91,6 +105,8 @@ class OuterRecord:
     eq_residual: float
     max_violation: float
     stationarity: float
+    al_evals: int = 0  # augmented-Lagrangian evaluations of the inner loop
+    backtracks: int = 0  # rejected line-search trials of the inner loop
 
 
 @dataclass
@@ -103,6 +119,7 @@ class NlpResult:
     max_violation: float
     history: list = field(default_factory=list)
     status: str = "converged"
+    reason: str = "converged"  # outer exit: converged, max_outer, stalled or flat
 
 
 def _violation(problem, x):
@@ -164,20 +181,72 @@ def _lbfgs_direction(grad, s_list, y_list):
     return -q
 
 
+class _Augmented:
+    """The augmented Lagrangian at fixed multipliers (lam, mu) and penalty rho.
+
+    An evaluation is split so that a line search can take the hinge term
+    from a residual it already has: `parts(z)` calls the problem's
+    callables, `value(parts, r)` adds the hinge term for r = A z - b, and
+    `gradient(parts, r)` assembles the full gradient.
+    """
+
+    def __init__(self, problem, lam, mu, rho):
+        self.problem = problem
+        self.A = problem.ineq_matrix if problem.n_ineq else np.zeros((0, problem.dim))
+        self.b = problem.ineq_rhs if problem.n_ineq else np.zeros(0)
+        self.lam, self.mu, self.rho = lam, mu, rho
+        self.lam_sq = float(lam @ lam)
+
+    def residual(self, z):
+        return self.A @ z - self.b
+
+    def parts(self, z):
+        """(f, grad f, g, grad g) at z; g and grad g are None without an equality."""
+        f, grad = self.problem.objective(z)
+        if self.problem.equality is None:
+            return f, grad, None, None
+        return (f, grad, *self.problem.equality(z))
+
+    def hinge(self, r):
+        """Shifted multipliers t = max(0, lam + rho r): the PHR update at residual r."""
+        return np.maximum(0.0, self.lam + self.rho * r)
+
+    def value(self, parts, r):
+        f, _, e, _ = parts
+        t = self.hinge(r)
+        val = f + (float(t @ t) - self.lam_sq) / (2.0 * self.rho)
+        if e is not None:
+            val += self.mu * e + 0.5 * self.rho * e * e
+        return val
+
+    def gradient(self, parts, r):
+        _, grad, e, eg = parts
+        grad = grad + self.A.T @ self.hinge(r)
+        if e is not None:
+            grad += (self.mu + self.rho * e) * eg
+        return grad
+
+
 def _inner_minimize(al, x0, tol, params, make_h0=None):
-    """Quasi-Newton descent with backtracking Armijo on the function `al`.
+    """Quasi-Newton descent with backtracking Armijo on the _Augmented `al`.
 
     With `make_h0` the search direction is the damped Newton step
     -H0(x)^{-1} g rebuilt at every iterate (no memory pairs: the hinge
     structure of the augmented Lagrangian makes stale pairs harmful);
-    otherwise plain L-BFGS.
+    otherwise plain L-BFGS.  Trials are evaluated along the ray
+    r + s A d from the exact residual r of the current point, and the
+    accepted trial keeps its ray value (see the module docstring).
+
+    Returns (x, iterations, AL evaluations, rejected trials).
     """
     x = x0.copy()
-    f, g = al(x)
+    r = al.residual(x)
+    parts = al.parts(x)
+    f, g = al.value(parts, r), al.gradient(parts, r)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise SolverAbort("non-finite objective or gradient at the start point")
     s_list, y_list = [], []
-    iters = 0
+    iters, evals, backtracks = 0, 1, 0
     while iters < params.max_inner and np.linalg.norm(g, np.inf) > tol:
         if make_h0 is not None:
             d = -make_h0(x)(g)
@@ -188,29 +257,35 @@ def _inner_minimize(al, x0, tol, params, make_h0=None):
             s_list, y_list = [], []
             d = -g
             slope = float(g @ d)
+        ad = al.A @ d
         step = 1.0
-        f_new = g_new = None
-        fallback = None  # best simple-decrease trial (objective kinks break Armijo)
+        accepted = None
+        fallback = None  # first simple-decrease trial (objective kinks break Armijo)
         for _ in range(params.max_backtracks):
-            x_new = x + step * d
-            f_try, g_try = al(x_new)
+            x_try = x + step * d
+            parts = al.parts(x_try)
+            f_try = al.value(parts, r + step * ad)
+            evals += 1
             if np.isfinite(f_try) and f_try <= f + params.armijo * step * slope:
-                f_new, g_new = f_try, g_try
+                accepted = (x_try, parts, f_try)
                 break
+            backtracks += 1
             if (
                 fallback is None
                 and np.isfinite(f_try)
                 and f_try < f - 1e-12 * max(1.0, abs(f))
             ):
-                fallback = (x_new, f_try, g_try)
+                fallback = (x_try, parts, f_try)
             step *= params.backtrack
-        if f_new is None and fallback is not None:
-            x_new, f_new, g_new = fallback
-        if f_new is None:
+        accepted = accepted or fallback
+        if accepted is None:
             if s_list:
                 s_list, y_list = [], []
                 continue
             break  # no decrease even along steepest descent: stop
+        x_new, parts, f_new = accepted
+        r = al.residual(x_new)
+        g_new = al.gradient(parts, r)
         if make_h0 is None:
             s, y = x_new - x, g_new - g
             sy = float(s @ y)
@@ -222,7 +297,7 @@ def _inner_minimize(al, x0, tol, params, make_h0=None):
                     y_list.pop(0)
         x, f, g = x_new, f_new, g_new
         iters += 1
-    return x, iters
+    return x, iters, evals, backtracks
 
 
 def dense_h0_builder(problem, obj_hessian):
@@ -272,7 +347,6 @@ def solve_nlp(problem, x0, params=None):
     if not np.all(np.isfinite(x)):
         raise SolverAbort("x0 is not finite")
 
-    A, b = problem.ineq_matrix, problem.ineq_rhs
     lam = np.zeros(problem.n_ineq)
     mu = 0.0
     rho = params.rho0
@@ -281,26 +355,13 @@ def solve_nlp(problem, x0, params=None):
     if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
         raise SolverAbort("objective not finite at x0")
     gscale = max(1.0, float(np.linalg.norm(g0, np.inf)))
-    bscale = max(1.0, float(np.max(np.abs(b))) if problem.n_ineq else 1.0)
-
-    def augmented(z):
-        f, grad = problem.objective(z)
-        val = f
-        grad = grad.copy()
-        if problem.n_ineq:
-            t = np.maximum(0.0, lam + rho * (A @ z - b))
-            val += (float(t @ t) - float(lam @ lam)) / (2.0 * rho)
-            grad += A.T @ t
-        if problem.equality is not None:
-            e, eg = problem.equality(z)
-            val += mu * e + 0.5 * rho * e * e
-            grad += (mu + rho * e) * eg
-        return val, grad
+    bscale = max(1.0, float(np.max(np.abs(problem.ineq_rhs))) if problem.n_ineq else 1.0)
 
     history = []
     prev_viol = np.inf
     prev_obj = np.inf
     status = "max_iter"
+    reason = "max_outer"
     stalled = 0
     flat = 0
     for outer in range(params.max_outer):
@@ -314,10 +375,11 @@ def solve_nlp(problem, x0, params=None):
         make_h0 = None
         if problem.h0_builder is not None:
             make_h0 = lambda z: problem.h0_builder(z, lam, mu, rho)  # noqa: E731
-        x, inner_iters = _inner_minimize(augmented, x, tol_inner, params, make_h0)
+        al = _Augmented(problem, lam, mu, rho)
+        x, inner_iters, evals, backtracks = _inner_minimize(al, x, tol_inner, params, make_h0)
 
         viol, g_eq = _violation(problem, x)
-        lam_hat = np.maximum(0.0, lam + rho * (A @ x - b)) if problem.n_ineq else lam
+        lam_hat = al.hinge(al.residual(x))
         mu_hat = mu + rho * g_eq if problem.equality is not None else mu
         report = check_kkt(problem, x, lam_hat, mu_hat)
         history.append(
@@ -328,21 +390,25 @@ def solve_nlp(problem, x0, params=None):
                 eq_residual=g_eq,
                 max_violation=viol,
                 stationarity=report["stationarity"],
+                al_evals=evals,
+                backtracks=backtracks,
             )
         )
         lam, mu = lam_hat, mu_hat
 
         if report["stationarity"] <= params.outer_tol and viol <= params.feas_tol * bscale:
-            status = "converged"
+            status = reason = "converged"
             break
         stalled = stalled + 1 if inner_iters == 0 else 0
         if stalled >= 8:
+            reason = "stalled"
             break  # repeated multiplier updates no longer move anything
         feasible_now = viol <= params.feas_tol * bscale
         obj_flat = abs(report["objective"] - prev_obj) <= 1e-8 * max(1.0, abs(report["objective"]))
         flat = flat + 1 if (feasible_now and obj_flat) else 0
         prev_obj = report["objective"]
         if flat >= 2:
+            reason = "flat"
             break  # feasible and the objective has stopped moving
         if (
             inner_iters > 0  # an idle outer teaches nothing about the penalty
@@ -364,4 +430,5 @@ def solve_nlp(problem, x0, params=None):
         max_violation=viol,
         history=history,
         status=status,
+        reason=reason,
     )

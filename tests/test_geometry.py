@@ -205,6 +205,12 @@ class TestConvexityResiduals:
         h = support_samples(SQUARE, 360)
         assert np.min(convexity_residuals(h)) >= -convexity_tolerance(h)
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 128])
+    def test_matches_roll_stencil_bitwise(self, n):
+        v = np.random.default_rng(n).normal(size=n)
+        reference = np.roll(v, -1) + np.roll(v, 1) - 2.0 * np.cos(2.0 * np.pi / n) * v
+        np.testing.assert_array_equal(convexity_residuals(v), reference)
+
 
 class TestPolygonArea:
     def test_unit_square(self):

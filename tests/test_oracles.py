@@ -136,8 +136,11 @@ class TestBruteForce:
     def test_report_fields(self):
         rep = brute_force_nodal(SQUARE, 4, 1.0, 0.25, 12)
         assert isinstance(rep, BruteForceReport)
+        assert isinstance(rep.values, SupportSamples)
+        assert rep.values.n == 4
         assert rep.area_slack > 0
         assert rep.energy > 0
+        assert rep.energy == pytest.approx(rep.powered_value)  # p = 1: no root
 
 
 class TestTriangleConjecture:

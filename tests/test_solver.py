@@ -5,7 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from convexfit.solver import NlpProblem, SolverAbort, SolverParams, check_kkt, solve_nlp
+from convexfit import fourier, nodal
+from convexfit.fourier import FourierProblem, solve_fourier
+from convexfit.geometry import named_container
+from convexfit.nodal import NodalProblem, solve_nodal
+from convexfit.solver import (
+    NlpProblem,
+    SolverAbort,
+    SolverParams,
+    _Augmented,
+    check_kkt,
+    solve_nlp,
+)
 
 
 def quadratic(center):
@@ -168,3 +179,80 @@ def test_params_validation():
         SolverParams(rho_growth=0.5)
     with pytest.raises(ValueError):
         SolverParams(outer_tol=0.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_problem(monkeypatch, module, solve, prob):
+    """The NlpProblem and starts that `solve(prob)` hands to run_multistart."""
+    seen = {}
+
+    def capture(nlp, starts, *args):
+        seen["nlp"], seen["starts"] = nlp, starts
+        raise _Captured
+
+    monkeypatch.setattr(module, "run_multistart", capture)
+    with pytest.raises(_Captured):
+        solve(prob, seeds=0)
+    return seen["nlp"], seen["starts"][0]
+
+
+def _direct_al(nlp, lam, mu, rho, z):
+    f, _ = nlp.objective(z)
+    t = np.maximum(0.0, lam + rho * (nlp.ineq_matrix @ z - nlp.ineq_rhs))
+    e, _ = nlp.equality(z)
+    return f + (t @ t - lam @ lam) / (2.0 * rho) + mu * e + 0.5 * rho * e * e
+
+
+@pytest.mark.parametrize("kind", ["nodal", "fourier"])
+def test_ray_value_matches_direct_evaluation(monkeypatch, kind):
+    if kind == "nodal":
+        prob = NodalProblem(named_container("pentagon"), n=64, p=4.0, alpha=0.4)
+        nlp, start = _captured_problem(monkeypatch, nodal, solve_nodal, prob)
+    else:
+        prob = FourierProblem(named_container("square"), n_f=8, m=64, q=128, p=4.0, alpha=0.4)
+        nlp, start = _captured_problem(monkeypatch, fourier, solve_fourier, prob)
+    rng = np.random.default_rng(3)
+    rho = 10.0
+    for _ in range(5):
+        x = start + 0.05 * rng.normal(size=nlp.dim)
+        d = 0.1 * rng.normal(size=nlp.dim)
+        s = rng.uniform(0.0, 1.0)
+        lam = rng.uniform(0.0, 2.0, nlp.n_ineq)
+        mu = rng.normal()
+        al = _Augmented(nlp, lam, mu, rho)
+        ray = al.value(al.parts(x + s * d), al.residual(x) + s * (nlp.ineq_matrix @ d))
+        direct = _direct_al(nlp, lam, mu, rho, x + s * d)
+        assert ray == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_nodal_line_search_does_not_spin_at_the_noise_floor():
+    prob = NodalProblem(named_container("disk"), n=64, p=8.0, alpha=0.25)
+    res = solve_nodal(prob, seeds=0)
+    evals = sum(rec.al_evals for rec in res.history)
+    inner = sum(rec.inner_iters for rec in res.history)
+    assert evals / inner <= 4.0
+    assert all(rec.al_evals >= rec.inner_iters + 1 for rec in res.history)
+    assert all(rec.backtracks < rec.al_evals for rec in res.history)
+    assert res.energy == pytest.approx(0.5942618908718743, abs=1e-9)
+
+
+def test_exit_reason_reaches_the_message():
+    prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]), ineq_matrix=np.eye(2), ineq_rhs=np.zeros(2))
+    res = solve_nlp(prob, np.full(2, -1.0), SolverParams(max_outer=1, outer_tol=1e-14))
+    assert res.status != "converged"
+    assert res.reason == "max_outer"
+    converged = solve_nlp(prob, np.full(2, -1.0))
+    assert (converged.status, converged.reason) == ("converged", "converged")
+
+    shape = NodalProblem(named_container("square"), n=32, p=4.0, alpha=0.5)
+    strict = SolverParams(max_outer=10, outer_tol=1e-14, feas_tol=1e-8)
+    res = solve_nodal(shape, seeds=0, params=strict)
+    assert res.status == "max_iter"
+    assert res.message.startswith("not certified: solver stopped at max_outer")
+    kept = solve_nodal(shape, seeds=0, params=SolverParams(max_outer=2, feas_tol=1e-8))
+    assert kept.status == "max_iter"
+    assert kept.message.startswith("start 0 kept its raw point")
+    assert solve_nodal(shape, seeds=0).message == ""
