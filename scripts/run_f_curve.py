@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--n", type=int, default=128)
     ap.add_argument("--seeds", type=int, default=2)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/fcurve")
     args = ap.parse_args()
 
@@ -34,7 +33,6 @@ def main():
         n=args.n,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        threads=args.threads,
         output_dir=args.out,
     )
     rows, violation = f_curve(cfg)

@@ -18,7 +18,6 @@ def main():
     ap.add_argument("--n", type=int, default=192)
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/gallery")
     args = ap.parse_args()
 
@@ -30,7 +29,6 @@ def main():
         n=args.n,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        threads=args.threads,
         output_dir=args.out,
     )
     rows = shape_gallery(cfg)

@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--n", type=int, default=256)
     ap.add_argument("--seeds", type=int, default=2)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/gamma")
     args = ap.parse_args()
 
@@ -32,7 +31,6 @@ def main():
         n=args.n,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        threads=args.threads,
         output_dir=args.out,
     )
     rows, r_inf = gamma_sweep(cfg)

@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--q", type=int, default=1024)
     ap.add_argument("--seeds", type=int, default=2)
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/compare")
     args = ap.parse_args()
 
@@ -37,7 +36,6 @@ def main():
         q=args.q,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        threads=args.threads,
         output_dir=args.out,
     )
     report = compare_methods(cfg)

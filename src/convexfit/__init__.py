@@ -47,7 +47,6 @@ from .nodal import (
     nodal_area,
     nodal_constraints,
     nodal_objective,
-    solve_minimax,
     solve_nodal,
 )
 from .oracles import (
@@ -102,7 +101,6 @@ __all__ = [
     "polygon_area",
     "reconstruct_boundary",
     "solve_fourier",
-    "solve_minimax",
     "solve_nlp",
     "solve_nodal",
     "support_eval",

@@ -33,7 +33,7 @@ from .experiments import (
 from .fourier import FourierProblem, FourierShape, solve_fourier
 from .geometry import GeometryError
 from .multistart import InfeasibleError
-from .nodal import NodalProblem, solve_minimax, solve_nodal
+from .nodal import NodalProblem, solve_nodal
 from .oracles import OracleNotApplicable, brute_force_nodal
 
 OUTPUT_DIR_ENV = "CONVEXFIT_OUTDIR"
@@ -69,7 +69,6 @@ def _study_config(cfg, alphas=None, ps=None):
         q=cfg.q,
         seeds=cfg.seeds,
         base_seed=cfg.base_seed,
-        threads=cfg.threads,
         output_dir=cfg.output_dir,
         params=solver_params_from(cfg),
     )
@@ -96,30 +95,19 @@ def _emit_solve(cfg, result, tag):
 
 def _cmd_solve(cfg):
     params = solver_params_from(cfg)
-    results = {}
+    warm = None
     if cfg.method in ("fourier", "both"):
         prob = FourierProblem(cfg.container, n_f=cfg.n_f, m=cfg.m, q=cfg.q, p=cfg.p, alpha=cfg.alpha)
-        results["fourier"] = solve_fourier(
-            prob, seeds=cfg.seeds, base_seed=cfg.base_seed, params=params,
-            n_samples=cfg.n, threads=cfg.threads,
+        warm = solve_fourier(prob, seeds=cfg.seeds, base_seed=cfg.base_seed, params=params, n_samples=cfg.n)
+        _emit_solve(cfg, warm, "fourier")
+    if cfg.method != "fourier":  # nodal, both or minimax
+        p = math.inf if cfg.method == "minimax" else cfg.p
+        result = solve_nodal(
+            NodalProblem(cfg.container, n=cfg.n, p=p, alpha=cfg.alpha),
+            init=warm.samples if warm else None, seeds=cfg.seeds,
+            base_seed=cfg.base_seed, params=params,
         )
-        _emit_solve(cfg, results["fourier"], "fourier")
-    if cfg.method in ("nodal", "both") and not math.isinf(cfg.p):
-        prob = NodalProblem(cfg.container, n=cfg.n, p=cfg.p, alpha=cfg.alpha)
-        warm = results.get("fourier")
-        results["nodal"] = solve_nodal(
-            prob, init=warm.samples if warm else None, seeds=cfg.seeds,
-            base_seed=cfg.base_seed, params=params, threads=cfg.threads,
-        )
-        _emit_solve(cfg, results["nodal"], "nodal")
-    if cfg.method == "minimax" or (cfg.method != "fourier" and math.isinf(cfg.p)):
-        prob = NodalProblem(cfg.container, n=cfg.n, p=math.inf, alpha=cfg.alpha)
-        results["minimax"] = solve_minimax(
-            prob, seeds=cfg.seeds, base_seed=cfg.base_seed, params=params, threads=cfg.threads,
-        )
-        _emit_solve(cfg, results["minimax"], "minimax")
-    if not results:
-        raise ConfigError(f"method {cfg.method!r} with p={cfg.p} selects nothing to run", "method")
+        _emit_solve(cfg, result, "minimax" if math.isinf(p) else "nodal")
     return 0
 
 
@@ -214,7 +202,7 @@ def main(argv=None):
         description="Convex inner approximations of planar convex containers.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
-    parser.add_argument("--threads", type=int, default=None, help="override thread count")
+    parser.add_argument("--threads", type=int, default=None, help="override the oracle's thread count")
     parser.add_argument("--output-dir", default=None, help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (

@@ -331,10 +331,10 @@ def serialize_config(cfg):
 
 def solver_params_from(cfg):
     """SolverParams built from the config's solver overrides (if any)."""
-    from .solver import SolverParams
+    from .solver import shape_params
 
-    base = dict(outer_tol=1e-6, feas_tol=1e-8, max_outer=30, max_inner=150)
-    if cfg.solver:
-        for k, v in cfg.solver.items():
-            base[k] = int(v) if k in ("max_outer", "max_inner", "memory") else float(v)
-    return SolverParams(**base)
+    overrides = {
+        k: int(v) if k in ("max_outer", "max_inner", "memory") else float(v)
+        for k, v in (cfg.solver or {}).items()
+    }
+    return shape_params(**overrides)

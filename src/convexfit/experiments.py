@@ -20,21 +20,21 @@ from .geometry import (
     SupportSamples,
     TWO_PI,
     container_scale,
+    convexity_residuals,
     hausdorff_from_supports,
     support_samples,
 )
-from .multistart import InfeasibleError
+from .multistart import InfeasibleError, best_violation_message, run_multistart
 from .nodal import (
     NodalProblem,
     _gather_starts,
-    _inequality_rows,
-    default_params,
+    _nodal_nlp,
+    _powered_gap,
     energy_of,
     nodal_area,
-    solve_minimax,
     solve_nodal,
 )
-from .solver import NlpProblem, SolverAbort, solve_nlp
+from .solver import shape_params
 from . import exports
 
 
@@ -56,7 +56,6 @@ class StudyConfig:
     q: int = 1024
     seeds: int = 4
     base_seed: int = 0
-    threads: int = 1
     output_dir: str | None = None
     params: object = None
 
@@ -101,9 +100,7 @@ def gamma_sweep(cfg):
     """
     alpha = cfg.alphas[0]
     inf_prob = NodalProblem(cfg.container, n=cfg.n, p=math.inf, alpha=alpha)
-    r_inf = solve_minimax(
-        inf_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params, threads=cfg.threads
-    )
+    r_inf = solve_nodal(inf_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params)
     sigma_inf = r_inf.energy
     _maybe_svg(cfg, r_inf.samples, f"gamma_{cfg.container_name}_pinf.svg")
 
@@ -117,7 +114,6 @@ def gamma_sweep(cfg):
                 seeds=cfg.seeds,
                 base_seed=cfg.cell_seed(k + 1),
                 params=cfg.params,
-                threads=cfg.threads,
             )
             chain = res.samples
             rows.append(
@@ -174,7 +170,6 @@ def compare_methods(cfg):
             base_seed=cfg.cell_seed(0),
             params=cfg.params,
             n_samples=cfg.n,
-            threads=cfg.threads,
         )
         report["fourier"] = r1
         report["energy_fourier"] = energy_of(r1.samples, nodal_prob)
@@ -184,9 +179,7 @@ def compare_methods(cfg):
         report["fourier_error"] = str(exc)
 
     try:
-        cold = solve_nodal(
-            nodal_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(1), params=cfg.params, threads=cfg.threads
-        )
+        cold = solve_nodal(nodal_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(1), params=cfg.params)
         report["nodal_cold"] = cold
         report["energy_nodal_cold"] = cold.energy
         _maybe_svg(cfg, cold.samples, f"compare_{cfg.container_name}_nodal_cold.svg")
@@ -201,7 +194,6 @@ def compare_methods(cfg):
                 seeds=cfg.seeds,
                 base_seed=cfg.cell_seed(1),
                 params=cfg.params,
-                threads=cfg.threads,
             )
             report["nodal_warm"] = warm
             report["energy_nodal_warm"] = warm.energy
@@ -241,16 +233,9 @@ def f_curve(cfg):
     for k, alpha in enumerate(cfg.alphas):
         try:
             prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-            if math.isinf(p):
-                res = solve_minimax(
-                    prob, init=chain, seeds=cfg.seeds, base_seed=cfg.cell_seed(k),
-                    params=cfg.params, threads=cfg.threads,
-                )
-            else:
-                res = solve_nodal(
-                    prob, init=chain, seeds=cfg.seeds, base_seed=cfg.cell_seed(k),
-                    params=cfg.params, threads=cfg.threads,
-                )
+            res = solve_nodal(
+                prob, init=chain, seeds=cfg.seeds, base_seed=cfg.cell_seed(k), params=cfg.params
+            )
             chain = res.samples
             rows.append({"alpha": alpha, "f_value": res.energy, "status": res.status})
         except InfeasibleError as exc:
@@ -274,101 +259,41 @@ def equivalence_probe(cfg):
     """
     p, alpha = cfg.ps[0], cfg.alphas[0]
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-    if math.isinf(p):
-        stage1 = solve_minimax(
-            prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params, threads=cfg.threads
-        )
-    else:
-        stage1 = solve_nodal(
-            prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params, threads=cfg.threads
-        )
+    stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params)
     f_val = stage1.energy
 
     n = prob.n
-    params = cfg.params or default_params()
     area_scale = max(prob.container_area_discrete, 1e-300)
+    kappa = (np.pi / n) / (2.0 - 2.0 * np.cos(TWO_PI / n))
+    area_hess = np.full(n, 8.0 * kappa / area_scale)
 
     def area_objective(x):
         area, grad = nodal_area(x)
         return area / area_scale, grad / area_scale
 
-    def area_hess_diag(x):
-        cos = np.cos(TWO_PI / n)
-        kappa = (np.pi / n) / (2.0 - 2.0 * cos)
-        return np.full(n, 8.0 * kappa / area_scale)
-
-    rows, rhs = _inequality_rows(prob)
-    has_box = math.isinf(p)
-    if has_box:
-        rows = np.vstack([rows, -np.eye(n)])
-        rhs = np.concatenate([rhs, f_val - prob.container_values])
-        equality = None
+    if math.isinf(p):
+        nlp = _nodal_nlp(
+            prob, area_objective, lambda x: area_hess, None,
+            gap_rows=-np.eye(n), gap_rhs=f_val - prob.container_values,
+        )
     else:
         target_powered = stage1.powered_value
         eq_scale = max(target_powered, 1e-12)
-        w = TWO_PI / n
 
         def equality(x):
-            gap = np.maximum(prob.container_values - x, 0.0)
-            value = w * np.sum(gap**p)
-            grad = -p * w * gap ** (p - 1.0) if p > 1.0 else -w * (gap > 0.0).astype(float)
+            value, grad, _ = _powered_gap(x, prob)
             return (value - target_powered) / eq_scale, grad / eq_scale
 
-    nlp = NlpProblem(dim=n, objective=area_objective, ineq_matrix=rows, ineq_rhs=rhs, equality=equality)
-
-    cos = np.cos(TWO_PI / n)
-    idx = np.arange(n)
-    up1, up2 = (idx + 1) % n, (idx + 2) % n
-
-    def h0_builder(x, lam, mu, rho):
-        act = (lam + rho * (rows @ x - rhs)) >= 0.0
-        d_cvx = act[n : 2 * n].astype(float)
-        diag = area_hess_diag(x) + rho * act[:n].astype(float)
-        if has_box:
-            diag = diag + rho * act[2 * n :].astype(float)
-        diag = diag + rho * (np.roll(d_cvx, 1) + 4.0 * cos**2 * d_cvx + np.roll(d_cvx, -1))
-        H = np.zeros((n, n))
-        H[idx, idx] = diag
-        band1 = -2.0 * cos * rho * (d_cvx + np.roll(d_cvx, -1))
-        H[idx, up1] += band1
-        H[up1, idx] += band1
-        band2 = rho * np.roll(d_cvx, -1)
-        H[idx, up2] += band2
-        H[up2, idx] += band2
-        if equality is not None:
-            eg = equality(x)[1]
-            H += rho * np.outer(eg, eg)
-        H[idx, idx] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
-        return lambda q: np.linalg.solve(H, q)
-
-    nlp.h0_builder = h0_builder
+        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
 
     starts = [stage1.samples.values.copy()]
-    extra, _ = _gather_starts(prob, None, cfg.seeds, cfg.cell_seed(1))
-    starts += extra
-
-    def feasible_area(x):
-        v = float(np.max(rows @ x - rhs, initial=0.0))
-        if equality is not None:
-            v = max(v, abs(equality(x)[0]))
-        return v
-
-    bscale = max(1.0, float(np.max(np.abs(rhs))))
-    best = None
-    for start_idx, x0 in enumerate(starts):
-        try:
-            res = solve_nlp(nlp, x0, params)
-        except SolverAbort:
-            continue
-        for rank, x in ((0, res.x), (1, x0)):
-            if feasible_area(x) <= params.feas_tol * bscale:
-                area = nodal_area(x)[0]
-                cand = (area, start_idx, rank, x)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
+    starts += _gather_starts(prob, None, cfg.seeds, cfg.cell_seed(1))[0]
+    best, failures, outcomes = run_multistart(
+        nlp, starts, cfg.params or shape_params(), lambda x: nodal_area(x)[0]
+    )
     if best is None:
-        raise InfeasibleError("area-minimization stage found no feasible point")
-    area, _, _, x = best
+        raise InfeasibleError(f"area-minimization stage: {best_violation_message(failures, outcomes)}")
+    area, _, _, x, _ = best
     report = {
         "p": p,
         "alpha": alpha,
@@ -429,9 +354,7 @@ def polygonality_report(shape, container, thresholds=None):
     n = values.size
     h_c = support_samples(container, n).values
     gap = h_c - values
-    cos = np.cos(TWO_PI / n)
-    c = np.roll(values, -1) + np.roll(values, 1) - 2.0 * cos * values
-    radius = c / (2.0 - 2.0 * cos)
+    radius = convexity_residuals(values) / (2.0 - 2.0 * np.cos(TWO_PI / n))
 
     eps_free = thresholds.free_gap_rel * container_scale(container)
     free = gap > eps_free
@@ -477,16 +400,7 @@ def shape_gallery(cfg):
             idx = i * len(cfg.alphas) + j
             prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
             try:
-                if math.isinf(p):
-                    res = solve_minimax(
-                        prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(idx),
-                        params=cfg.params, threads=cfg.threads,
-                    )
-                else:
-                    res = solve_nodal(
-                        prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(idx),
-                        params=cfg.params, threads=cfg.threads,
-                    )
+                res = solve_nodal(prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(idx), params=cfg.params)
                 rows.append(
                     {
                         "p": p,

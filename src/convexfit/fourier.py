@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
-from .solver import NlpProblem, SolverParams, dense_h0_builder
+from .solver import NlpProblem, dense_h0_builder, shape_params
 
 TRUNCATION_GRID = 4096
 
@@ -201,24 +201,15 @@ def _blend_feasible(x, deep, rows, rhs):
     return lam * x + (1.0 - lam) * deep
 
 
-def solve_fourier(
-    prob,
-    seeds=4,
-    base_seed=0,
-    params=None,
-    n_samples=256,
-    threads=1,
-    use_root=False,
-):
+def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     """Best-of-multistart solve over Fourier coefficients.
 
     Starts are the container truncation scaled about an interior point to
     the target area, plus random coefficient perturbations; every start is
     blended toward a strictly feasible tiny disk until all 2M linear rows
-    hold.  `use_root` optimizes value**(1/p) instead of the powered value
-    (same minimizers; exists for the equivalence check in the tests).
+    hold.
     """
-    params = params or SolverParams(outer_tol=1e-6, feas_tol=1e-8, max_outer=30, max_inner=150)
+    params = params or shape_params()
     t0 = time.perf_counter()
 
     (inc_rows, inc_rhs), (cvx_rows, _) = assemble_linear_constraints(prob)
@@ -271,12 +262,7 @@ def solve_fourier(
             gap = np.maximum((hq - B @ x) / ref, 0.0)
             value = w * np.sum(gap**p)
             grad = -(p / ref) * w * (B.T @ gap ** (p - 1.0))
-        if not use_root:
-            return float(value), grad.copy()
-        root = max(value, 0.0) ** (1.0 / p)
-        if root <= 0.0:
-            return 0.0, np.zeros_like(grad)
-        return float(root), root ** (1.0 - p) / p * grad
+        return float(value), grad.copy()
 
     def obj_hessian(x):
         if p < 2.0:
@@ -303,7 +289,7 @@ def solve_fourier(
     def energy_fn(x):
         return fourier_objective(x, prob)[0] ** (1.0 / p)
 
-    best, failures, outcomes = run_multistart(nlp, starts, params, energy_fn, threads)
+    best, failures, outcomes = run_multistart(nlp, starts, params, energy_fn)
     if best is None:
         raise InfeasibleError(best_violation_message(failures, outcomes))
     energy, idx, _, x, result = best

@@ -8,8 +8,6 @@ be beaten by a worse "solution": descent only polishes it downward.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .solver import SolverAbort, solve_nlp
@@ -25,7 +23,7 @@ def seed_key(base_seed, index):
     return [int(base_seed), int(index)]
 
 
-def run_multistart(nlp, starts, params, energy_fn, threads=1):
+def run_multistart(nlp, starts, params, energy_fn):
     """Solve from every start, pool starts and finals, keep the best feasible.
 
     Strictly lowest energy wins; ties within 1e-12 go to the lowest start
@@ -36,18 +34,13 @@ def run_multistart(nlp, starts, params, energy_fn, threads=1):
     bscale = max(1.0, float(np.max(np.abs(nlp.ineq_rhs))))
     feas = params.feas_tol * bscale
 
-    def run(item):
-        idx, x0 = item
+    def run(idx, x0):
         try:
             return idx, solve_nlp(nlp, x0, params)
         except SolverAbort as exc:
             return idx, exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, enumerate(starts)))
-    else:
-        outcomes = [run(item) for item in enumerate(starts)]
+    outcomes = [run(idx, x0) for idx, x0 in enumerate(starts)]
 
     def violation_of(x):
         v = float(np.max(nlp.ineq_matrix @ x - nlp.ineq_rhs, initial=0.0))

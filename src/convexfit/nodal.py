@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
-from .solver import NlpProblem, SolverParams
+from .solver import NlpProblem, shape_params
 
 INIT_SCALE_RANGE = (0.3, 1.0)
 
@@ -82,21 +82,28 @@ def nodal_area(h):
     return float(kappa * np.sum(v * c)), 2.0 * kappa * c
 
 
-def nodal_objective(h, prob):
-    """Rectangle-rule powered gap (2pi/N) sum max(h_C - h_j, 0)^p with gradient.
+def _powered_gap(h, prob, ref=1.0):
+    """Rectangle-rule powered gap (2pi/N) sum g_j^p of the clamped gap
+    g = max((h_C - h) / ref, 0), its gradient in h, and g itself.
 
     The clamp at zero keeps odd and fractional exponents real for iterates
     that overshoot the container between multiplier updates; at clamped
     nodes the gradient is taken as zero.
     """
-    if math.isinf(prob.p):
-        raise GeometryError("p = inf has no smooth nodal objective; use solve_minimax")
-    v = _values(h)
-    gap = np.maximum(prob.container_values - v, 0.0)
+    gap = np.maximum((prob.container_values - h) / ref, 0.0)
     w = TWO_PI / prob.n
-    value = w * np.sum(gap**prob.p)
-    grad = -prob.p * w * gap ** (prob.p - 1.0) if prob.p > 1.0 else -w * (gap > 0.0)
-    return float(value), np.asarray(grad, dtype=float)
+    p = prob.p
+    value = w * np.sum(gap**p)
+    grad = -(p / ref) * w * gap ** (p - 1.0) if p > 1.0 else -(w / ref) * (gap > 0.0)
+    return float(value), grad, gap
+
+
+def nodal_objective(h, prob):
+    """Powered gap (2pi/N) sum max(h_C - h_j, 0)^p and its gradient."""
+    if math.isinf(prob.p):
+        raise GeometryError("p = inf has no smooth nodal objective; solve_nodal uses the epigraph form")
+    value, grad, _ = _powered_gap(_values(h), prob)
+    return value, grad
 
 
 @dataclass
@@ -128,11 +135,9 @@ def nodal_constraints(h, prob):
 def energy_of(h, prob):
     """Reported energy J_p of a candidate (max gap playing J_inf for p = inf)."""
     v = _values(h)
-    gap = np.maximum(prob.container_values - v, 0.0)
     if math.isinf(prob.p):
-        return float(np.max(gap))
-    value = TWO_PI / prob.n * np.sum(gap**prob.p)
-    return float(value ** (1.0 / prob.p))
+        return float(np.max(np.maximum(prob.container_values - v, 0.0)))
+    return float(_powered_gap(v, prob)[0] ** (1.0 / prob.p))
 
 
 def convexify(values):
@@ -206,46 +211,66 @@ def _gather_starts(prob, init, seeds, base_seed):
     return starts, zu
 
 
-def _inequality_rows(prob, extra_cols=0):
-    n = prob.n
-    eye = np.eye(n)
-    shift_next = np.roll(eye, 1, axis=1)  # picks h_{j+1}
-    shift_prev = np.roll(eye, -1, axis=1)  # picks h_{j-1}
-    cos = np.cos(TWO_PI / n)
-    a_inc = eye
-    a_cvx = -(shift_next + shift_prev - 2.0 * cos * eye)
-    rows = np.vstack([a_inc, a_cvx])
-    rhs = np.concatenate([prob.container_values, np.zeros(n)])
-    if extra_cols:
-        rows = np.hstack([rows, np.zeros((rows.shape[0], extra_cols))])
-    return rows, rhs
-
-
-def _area_equality(prob, dim):
+def _area_equality(prob):
+    """Area equality on the nodal values x[:N], scaled by the container area."""
     scale = max(prob.container_area_discrete, 1e-300)
     n = prob.n
 
     def equality(x):
         area, grad = nodal_area(x[:n])
-        g = np.zeros(dim)
+        g = np.zeros(x.size)
         g[:n] = grad / scale
         return (area - prob.target_area) / scale, g
 
     return equality
 
 
-def _h0_builder(prob, nlp, obj_hess_diag, minimax=False):
+def _nodal_nlp(prob, objective, obj_hess_diag, equality, gap_rows=None, gap_rhs=None):
+    """The nodal program as an NlpProblem, with its Newton seed attached.
+
+    Rows are inclusion h_j <= h_C(theta_j) and convexity c_j >= 0, then the
+    optional block `gap_rows` x <= `gap_rhs`, one row per node: the
+    epigraph rows h_C - h_j <= t (N + 1 columns, the slack t last) or box
+    rows h_j >= h_C - t (N columns).  Its column count sets the dimension.
+    `equality` (value, gradient) may be None.
+    """
+    n = prob.n
+    eye = np.eye(n)
+    shift_next = np.roll(eye, 1, axis=1)  # picks h_{j+1}
+    shift_prev = np.roll(eye, -1, axis=1)  # picks h_{j-1}
+    cos = np.cos(TWO_PI / n)
+    a_cvx = -(shift_next + shift_prev - 2.0 * cos * eye)
+    rows = np.vstack([eye, a_cvx])
+    rhs = np.concatenate([prob.container_values, np.zeros(n)])
+    if gap_rows is not None:
+        rows = np.hstack([rows, np.zeros((2 * n, gap_rows.shape[1] - n))])
+        rows = np.vstack([rows, gap_rows])
+        rhs = np.concatenate([rhs, gap_rhs])
+    nlp = NlpProblem(
+        dim=rows.shape[1],
+        objective=objective,
+        ineq_matrix=rows,
+        ineq_rhs=rhs,
+        equality=equality,
+    )
+    nlp.h0_builder = _h0_builder(nlp, n, obj_hess_diag)
+    return nlp
+
+
+def _h0_builder(nlp, n, obj_hess_diag):
     """O(N) assembly of the Gauss-Newton seed for the solver.
 
     The active normal matrix rho A_act^T A_act is diagonal (inclusion and
     gap rows) plus C^T D C for the convexity stencil, i.e. pentadiagonal
-    with circular wrap; the area gradient adds a rank-one term.  The dense
-    matrix is filled band by band and factorized by numpy.
+    with circular wrap; a slack column (dimension N + 1) borders it, and
+    the equality gradient adds a rank-one term.  Rows beyond the first 2N
+    are gap rows.  The dense matrix is filled band by band and factorized
+    by numpy.
     """
-    n = prob.n
     cos = np.cos(TWO_PI / n)
     A, b = nlp.ineq_matrix, nlp.ineq_rhs
     dim = nlp.dim
+    has_gap, has_slack = nlp.n_ineq > 2 * n, dim > n
     idx = np.arange(n)
     up1, up2 = (idx + 1) % n, (idx + 2) % n
 
@@ -263,14 +288,16 @@ def _h0_builder(prob, nlp, obj_hess_diag, minimax=False):
         band2 = rho * np.roll(d_cvx, -1)
         H[idx, up2] += band2
         H[up2, idx] += band2
-        if minimax:
+        if has_gap:
             d_gap = act[2 * n :].astype(float)
             H[idx, idx] += rho * d_gap
-            H[idx, -1] += rho * d_gap
-            H[-1, idx] += rho * d_gap
-            H[-1, -1] += rho * float(np.sum(d_gap))
-        eg = nlp.equality(x)[1]
-        H += rho * np.outer(eg, eg)
+            if has_slack:
+                H[idx, -1] += rho * d_gap
+                H[-1, idx] += rho * d_gap
+                H[-1, -1] += rho * float(np.sum(d_gap))
+        if nlp.equality is not None:
+            eg = nlp.equality(x)[1]
+            H += rho * np.outer(eg, eg)
         H[np.arange(dim), np.arange(dim)] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
 
         def apply(q):
@@ -288,13 +315,12 @@ def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_start
     values = x[: prob.n]
     report = nodal_constraints(values, prob)
     area = nodal_area(values)[0]
-    gap = np.maximum(prob.container_values - values, 0.0)
     if math.isinf(prob.p):
         powered = float("inf")
         sigma = energy
         slack = float(x[-1])
     else:
-        powered = float(TWO_PI / prob.n * np.sum(gap**prob.p))
+        powered = _powered_gap(values, prob)[0]
         sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
         slack = None
     flagged = float(np.min(report.convexity)) >= -1e-9 * max(1.0, float(np.max(np.abs(values))))
@@ -321,27 +347,30 @@ def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_start
     )
 
 
-def default_params():
-    return SolverParams(outer_tol=1e-6, feas_tol=1e-8, max_outer=30, max_inner=150)
+def _epigraph_nlp(prob):
+    """p = inf program over (h, t): min t with every gap h_C - h_j <= t."""
+    n = prob.n
+
+    def objective(x):
+        g = np.zeros(n + 1)
+        g[-1] = 1.0
+        return float(x[-1]), g
+
+    return _nodal_nlp(
+        prob,
+        objective,
+        lambda x: np.zeros(n),
+        _area_equality(prob),
+        gap_rows=np.hstack([-np.eye(n), -np.ones((n, 1))]),
+        gap_rhs=-prob.container_values,
+    )
 
 
-def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None, threads=1):
-    """Best-of-multistart solve of the finite-p nodal problem.
-
-    `init` (a SupportSamples warm start) is clipped into the container and
-    convexified, then competes with the deterministic scaled-copy anchor and
-    `seeds` random feasible starts.
-    """
-    if math.isinf(prob.p):
-        raise GeometryError("use solve_minimax for p = inf")
-    params = params or default_params()
-    t0 = time.perf_counter()
-    starts, zu = _gather_starts(prob, init, seeds, base_seed)
-
+def _powered_nlp(prob, zu):
+    """Finite-p program: the powered gap, scaled by the anchor's largest gap."""
     anchor_gap = float(np.max(prob.container_values - _anchor_start(prob, zu)))
     ref = max(anchor_gap, 1e-6 * container_scale(prob.container))
-    w = TWO_PI / prob.n
-    p = prob.p
+    n, p, w = prob.n, prob.p, TWO_PI / prob.n
 
     if p == 1.0:
         # the clamped gap has a kink exactly on the inclusion boundary and
@@ -349,78 +378,56 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None, threads=1):
         # the linear form is identical on the feasible set and smooth
         def objective(x):
             gap = (prob.container_values - x) / ref
-            return float(w * np.sum(gap)), np.full(prob.n, -w / ref)
+            return float(w * np.sum(gap)), np.full(n, -w / ref)
 
     else:
 
         def objective(x):
-            gap = np.maximum((prob.container_values - x) / ref, 0.0)
-            value = w * np.sum(gap**p)
-            return float(value), -(p / ref) * w * gap ** (p - 1.0)
+            value, grad, _ = _powered_gap(x, prob, ref)
+            return value, grad
 
     def obj_hess_diag(x):
         # below p = 2 the powered gap has little or no curvature; a proximal
         # floor at the p = 2 scale keeps the Newton seed bounded and steps
         # at the natural shape scale
         if p < 2.0:
-            return np.full(prob.n, w / ref**2)
-        gap = np.maximum((prob.container_values - x) / ref, 0.0)
+            return np.full(n, w / ref**2)
+        gap = _powered_gap(x, prob, ref)[2]
         return p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
 
-    rows, rhs = _inequality_rows(prob)
-    nlp = NlpProblem(
-        dim=prob.n,
-        objective=objective,
-        ineq_matrix=rows,
-        ineq_rhs=rhs,
-        equality=_area_equality(prob, prob.n),
-    )
-    nlp.h0_builder = _h0_builder(prob, nlp, obj_hess_diag)
-    best, failures, outcomes = run_multistart(
-        nlp, starts, params, lambda x: energy_of(x, prob), threads
-    )
-    return _assemble_result(
-        prob, best, failures, outcomes, time.perf_counter() - t0, base_seed, len(starts)
-    )
+    return _nodal_nlp(prob, objective, obj_hess_diag, _area_equality(prob))
 
 
-def solve_minimax(prob, init=None, seeds=4, base_seed=0, params=None, threads=1):
-    """Epigraph solve of the p = inf problem: min t with every gap <= t.
+def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
+    """Best-of-multistart solve of the nodal problem, for every p.
 
-    Returns the Hausdorff-distance estimate as `energy` (and
-    `minimax_slack`), alongside the optimal nodal shape.
+    `init` (a SupportSamples warm start) is clipped into the container and
+    convexified, then competes with the deterministic scaled-copy anchor and
+    `seeds` random feasible starts.  p = inf is solved in epigraph form,
+    min t with every gap <= t: each start gets its largest gap as slack, and
+    the optimal t, the Hausdorff-distance estimate, is the reported `energy`
+    (and `minimax_slack`).
     """
-    if not math.isinf(prob.p):
-        raise GeometryError("solve_minimax requires a problem flagged p = inf")
-    params = params or default_params()
+    params = params or shape_params()
     t0 = time.perf_counter()
-    n = prob.n
-    shape_starts, _ = _gather_starts(prob, init, seeds, base_seed)
-    starts = []
-    for v in shape_starts:
-        slack = float(np.max(prob.container_values - v)) * (1.0 + 1e-9) + 1e-12
-        starts.append(np.concatenate([v, [slack]]))
+    starts, zu = _gather_starts(prob, init, seeds, base_seed)
+    if math.isinf(prob.p):
+        starts = [
+            np.concatenate([v, [float(np.max(prob.container_values - v)) * (1.0 + 1e-9) + 1e-12]])
+            for v in starts
+        ]
+        nlp = _epigraph_nlp(prob)
 
-    def objective(x):
-        g = np.zeros(n + 1)
-        g[-1] = 1.0
-        return float(x[-1]), g
+        def energy(x):
+            return float(x[-1])
 
-    rows, rhs = _inequality_rows(prob, extra_cols=1)
-    gap_rows = np.hstack([-np.eye(n), -np.ones((n, 1))])
-    rows = np.vstack([rows, gap_rows])
-    rhs = np.concatenate([rhs, -prob.container_values])
-    nlp = NlpProblem(
-        dim=n + 1,
-        objective=objective,
-        ineq_matrix=rows,
-        ineq_rhs=rhs,
-        equality=_area_equality(prob, n + 1),
-    )
-    nlp.h0_builder = _h0_builder(prob, nlp, lambda x: np.zeros(n + 1), minimax=True)
-    best, failures, outcomes = run_multistart(
-        nlp, starts, params, lambda x: float(x[-1]), threads
-    )
+    else:
+        nlp = _powered_nlp(prob, zu)
+
+        def energy(x):
+            return energy_of(x, prob)
+
+    best, failures, outcomes = run_multistart(nlp, starts, params, energy)
     return _assemble_result(
         prob, best, failures, outcomes, time.perf_counter() - t0, base_seed, len(starts)
     )

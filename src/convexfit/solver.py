@@ -97,6 +97,13 @@ class SolverParams:
             self.feas_tol = self.outer_tol
 
 
+def shape_params(**overrides):
+    """The shape solvers' defaults: tight feasibility and at most 150 inner
+    iterations per outer one (each inner iteration is a Newton step)."""
+    defaults = dict(outer_tol=1e-6, feas_tol=1e-8, max_outer=30, max_inner=150)
+    return SolverParams(**{**defaults, **overrides})
+
+
 @dataclass
 class OuterRecord:
     outer_iter: int

@@ -35,7 +35,6 @@ from convexfit.nodal import (
     _random_start,
     nodal_area,
     nodal_objective,
-    solve_minimax,
     solve_nodal,
 )
 from convexfit.oracles import brute_force_nodal, perimeter_identity_check
@@ -54,7 +53,7 @@ def report(criterion, detail):
 def test_criterion_1_inner_parallel_exactness():
     """p = inf: the solver recovers the inner parallel set."""
     prob = NodalProblem(DISK, n=256, p=math.inf, alpha=0.25)
-    res = solve_minimax(prob, seeds=3, base_seed=0)
+    res = solve_nodal(prob, seeds=3, base_seed=0)
     t_err = abs(res.energy - 0.5)
     node_err = float(np.max(np.abs(res.samples.values - 0.5)))
     assert t_err <= 5e-3
@@ -63,7 +62,7 @@ def test_criterion_1_inner_parallel_exactness():
 
     alpha = (4 * 1 * 0.5 + np.pi * 0.25) / (4 + np.pi)
     prob_s = NodalProblem(STADIUM, n=256, p=math.inf, alpha=alpha)
-    res_s = solve_minimax(prob_s, seeds=3, base_seed=0)
+    res_s = solve_nodal(prob_s, seeds=3, base_seed=0)
     expected = support_samples(Stadium(1.0, 0.5, 0.0), 256).values
     t_err_s = abs(res_s.energy - 0.5)
     node_err_s = float(np.max(np.abs(res_s.samples.values - expected)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from convexfit import fourier
 from convexfit.fourier import (
     FourierProblem,
     FourierShape,
@@ -160,10 +161,27 @@ class TestSolve:
         res = solve_fourier(prob, seeds=2, base_seed=0)
         assert abs(res.energy - 0.5) <= 0.05
 
-    def test_rooted_objective_same_argmin(self):
+    def test_rooted_objective_same_argmin(self, monkeypatch):
+        # optimizing value**(1/p) instead of the powered value keeps the minimizers
         prob = FourierProblem(DISK, n_f=8, m=48, q=128, p=2.0, alpha=0.4)
         plain = solve_fourier(prob, seeds=2, base_seed=5)
-        rooted = solve_fourier(prob, seeds=2, base_seed=5, use_root=True)
+        p, delegate = prob.p, fourier.run_multistart
+
+        def rooted_multistart(nlp, starts, params, energy_fn):
+            powered = nlp.objective
+
+            def objective(x):
+                value, grad = powered(x)
+                root = max(value, 0.0) ** (1.0 / p)
+                if root <= 0.0:
+                    return 0.0, np.zeros_like(grad)
+                return float(root), root ** (1.0 - p) / p * grad
+
+            nlp.objective = objective
+            return delegate(nlp, starts, params, energy_fn)
+
+        monkeypatch.setattr(fourier, "run_multistart", rooted_multistart)
+        rooted = solve_fourier(prob, seeds=2, base_seed=5)
         assert abs(plain.energy - rooted.energy) <= 1e-6
 
     def test_solve_records_samples_and_coefficients(self):

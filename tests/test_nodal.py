@@ -27,8 +27,10 @@ from convexfit.nodal import (
     nodal_area,
     nodal_constraints,
     nodal_objective,
-    solve_minimax,
     solve_nodal,
+    _epigraph_nlp,
+    _nodal_nlp,
+    _powered_nlp,
     _random_start,
 )
 
@@ -175,16 +177,76 @@ class TestSolve:
         assert warm.energy <= energy_of(warm_init, prob) + 1e-9
         assert warm.energy <= cold.energy + 1e-9
 
-    def test_infinite_p_routed_to_minimax(self):
-        prob = NodalProblem(DISK, n=32, p=math.inf, alpha=0.5)
-        with pytest.raises(GeometryError):
-            solve_nodal(prob)
+    def test_reported_energies_come_from_the_objective(self):
+        prob = NodalProblem(SQUARE, n=32, p=4.0, alpha=0.4)
+        res = solve_nodal(prob, seeds=1, base_seed=2)
+        assert res.powered_value == nodal_objective(res.samples, prob)[0]
+        assert res.energy == energy_of(res.samples, prob)
+
+
+class TestNewtonSeed:
+    """The banded seed inverts diag(hess) + rho A_act^T A_act + rho e_g e_g^T,
+    assembled densely here from the problem's own rows."""
+
+    N = 24
+
+    def assert_inverts(self, nlp, hess, x, seed, rho=10.0):
+        rng = np.random.default_rng(seed)
+        A, b = nlp.ineq_matrix, nlp.ineq_rhs
+        # a random half of the rows active, with every inclusion row among
+        # them so that H_ref is nonsingular without the seed's 1e-8 shift
+        lam = rng.uniform(-1.0, 1.0, nlp.n_ineq)
+        lam[: self.N] = 1.0
+        lam -= rho * (A @ x - b)
+        act = (lam + rho * (A @ x - b)) >= 0.0
+        H = np.diag(hess) + rho * A[act].T @ A[act]
+        if nlp.equality is not None:
+            eg = nlp.equality(x)[1]
+            H += rho * np.outer(eg, eg)
+        q = rng.standard_normal(nlp.dim)
+        d = nlp.h0_builder(x, lam, 0.0, rho)(q)
+        assert np.linalg.norm(H @ d - q) <= 1e-6 * np.linalg.norm(q)
+
+    def shape(self, prob, seed):
+        noise = np.random.default_rng(seed).standard_normal(self.N)
+        return 0.8 * prob.container_values + 0.01 * noise
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_finite_p(self, seed):
+        prob = NodalProblem(SQUARE, n=self.N, p=4.0, alpha=0.4)
+        nlp = _powered_nlp(prob, unit_vector(prob.angles) @ interior_point(SQUARE))
+        x = self.shape(prob, seed)
+        step = 1e-6  # the powered gap's Hessian is diagonal
+        hess = (nlp.objective(x + step)[1] - nlp.objective(x - step)[1]) / (2 * step)
+        assert nlp.dim == self.N
+        self.assert_inverts(nlp, hess, x, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_epigraph(self, seed):
+        prob = NodalProblem(SQUARE, n=self.N, p=math.inf, alpha=0.4)
+        nlp = _epigraph_nlp(prob)
+        v = self.shape(prob, seed)
+        x = np.append(v, np.max(prob.container_values - v))
+        assert (nlp.dim, nlp.n_ineq) == (self.N + 1, 3 * self.N)
+        self.assert_inverts(nlp, np.zeros(self.N + 1), x, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_box_rows_without_equality(self, seed):
+        # the equivalence probe's p = inf stage: h_j >= h_C - t, no equality
+        prob = NodalProblem(SQUARE, n=self.N, p=math.inf, alpha=0.4)
+        hess = np.full(self.N, 0.3)
+        nlp = _nodal_nlp(
+            prob, None, lambda x: hess, None,
+            gap_rows=-np.eye(self.N), gap_rhs=0.2 - prob.container_values,
+        )
+        assert (nlp.dim, nlp.n_ineq) == (self.N, 3 * self.N)
+        self.assert_inverts(nlp, hess, self.shape(prob, seed), seed)
 
 
 class TestMinimax:
     def test_disk_inner_parallel(self):
         prob = NodalProblem(DISK, n=64, p=math.inf, alpha=0.25)
-        res = solve_minimax(prob, seeds=2)
+        res = solve_nodal(prob, seeds=2)
         assert res.energy == pytest.approx(0.5, abs=1e-6)
         assert np.max(np.abs(res.samples.values - 0.5)) <= 1e-6
 
@@ -192,18 +254,13 @@ class TestMinimax:
         stadium = named_container("stadium")
         alpha = (4 * 0.5 + np.pi * 0.25) / (4 + np.pi)
         prob = NodalProblem(stadium, n=64, p=math.inf, alpha=alpha)
-        res = solve_minimax(prob, seeds=2)
+        res = solve_nodal(prob, seeds=2)
         assert res.energy == pytest.approx(0.5, abs=2e-3)
 
     def test_alpha_one_zero_slack(self):
         prob = NodalProblem(DISK, n=32, p=math.inf, alpha=1.0)
-        res = solve_minimax(prob, seeds=1)
+        res = solve_nodal(prob, seeds=1)
         assert res.energy <= 1e-10
-
-    def test_finite_p_rejected(self):
-        prob = NodalProblem(DISK, n=32, p=2.0, alpha=0.5)
-        with pytest.raises(GeometryError):
-            solve_minimax(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +302,17 @@ def test_off_center_container_with_negative_support():
     res = solve_nodal(prob, seeds=2, base_seed=0)
     assert res.status == "converged"
     assert abs(res.area_residual) <= 1e-8
-    res_inf = solve_minimax(NodalProblem(spec, n=64, p=math.inf, alpha=0.25), seeds=2)
+    res_inf = solve_nodal(NodalProblem(spec, n=64, p=math.inf, alpha=0.25), seeds=2)
     assert res_inf.energy == pytest.approx(0.5, abs=1e-6)  # translation invariant
 
 
-def test_threaded_multistart_is_deterministic():
+def test_multistart_rerun_is_deterministic():
     prob = NodalProblem(DISK, n=32, p=2.0, alpha=0.25)
-    seq = solve_nodal(prob, seeds=3, base_seed=5, threads=1)
-    par = solve_nodal(prob, seeds=3, base_seed=5, threads=2)
-    assert seq.energy == par.energy
-    assert seq.best_start == par.best_start
-    np.testing.assert_array_equal(seq.samples.values, par.samples.values)
+    first = solve_nodal(prob, seeds=3, base_seed=5)
+    again = solve_nodal(prob, seeds=3, base_seed=5)
+    assert first.energy == again.energy
+    assert first.best_start == again.best_start
+    np.testing.assert_array_equal(first.samples.values, again.samples.values)
 
 
 def test_target_area_uses_discrete_container_measure():
