@@ -58,17 +58,7 @@ DEFAULTS = {
     "oracle_grid": 25,
 }
 
-SOLVER_KEYS = (
-    "rho0",
-    "rho_growth",
-    "rho_max",
-    "violation_shrink",
-    "outer_tol",
-    "feas_tol",
-    "max_outer",
-    "max_inner",
-    "memory",
-)
+SOLVER_KEYS = ("rho0", "outer_tol", "feas_tol", "max_outer", "max_inner")
 
 
 class ConfigError(ValueError):
@@ -331,10 +321,10 @@ def serialize_config(cfg):
 
 def solver_params_from(cfg):
     """SolverParams built from the config's solver overrides (if any)."""
-    from .solver import shape_params
+    from .solver import SolverParams
 
     overrides = {
-        k: int(v) if k in ("max_outer", "max_inner", "memory") else float(v)
+        k: int(v) if k in ("max_outer", "max_inner") else float(v)
         for k, v in (cfg.solver or {}).items()
     }
-    return shape_params(**overrides)
+    return SolverParams(**overrides)

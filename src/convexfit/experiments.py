@@ -34,7 +34,6 @@ from .nodal import (
     nodal_area,
     solve_nodal,
 )
-from .solver import shape_params
 from . import exports
 
 
@@ -288,9 +287,7 @@ def equivalence_probe(cfg):
 
     starts = [stage1.samples.values.copy()]
     starts += _gather_starts(prob, None, cfg.seeds, cfg.cell_seed(1))[0]
-    best, failures, outcomes = run_multistart(
-        nlp, starts, cfg.params or shape_params(), lambda x: nodal_area(x)[0]
-    )
+    best, failures, outcomes = run_multistart(nlp, starts, cfg.params, lambda x: nodal_area(x)[0])
     if best is None:
         raise InfeasibleError(f"area-minimization stage: {best_violation_message(failures, outcomes)}")
     area, _, _, x, _ = best

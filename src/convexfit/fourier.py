@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
-from .solver import NlpProblem, dense_h0_builder, shape_params
+from .solver import NlpProblem, dense_h0_builder
 
 TRUNCATION_GRID = 4096
 
@@ -209,7 +209,6 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     blended toward a strictly feasible tiny disk until all 2M linear rows
     hold.
     """
-    params = params or shape_params()
     t0 = time.perf_counter()
 
     (inc_rows, inc_rhs), (cvx_rows, _) = assemble_linear_constraints(prob)

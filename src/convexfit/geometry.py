@@ -291,13 +291,6 @@ def chain_convexity_defect(chain):
     return float(np.min(_cross2(e, np.roll(e, -1, axis=0))))
 
 
-def geometric_tolerance(chain):
-    """Convexity tolerance scaled by the squared bounding-box diagonal."""
-    pts = np.asarray(chain, dtype=float)
-    diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    return 1e-8 * max(1.0, diam) ** 2
-
-
 def reconstruction_tolerance(chain):
     """Chain-convexity tolerance for central-difference reconstructions.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import SolverAbort, solve_nlp
+from .solver import SolverAbort, SolverParams, feasibility_bound, solve_nlp, violation
 
 
 class InfeasibleError(RuntimeError):
@@ -26,13 +26,16 @@ def seed_key(base_seed, index):
 def run_multistart(nlp, starts, params, energy_fn):
     """Solve from every start, pool starts and finals, keep the best feasible.
 
-    Strictly lowest energy wins; ties within 1e-12 go to the lowest start
-    index, and within a start the polished point beats the raw one.
-    Returns (best, failures, outcomes) with best = (energy, start_idx, rank,
-    x, NlpResult or None), or best = None when nothing was feasible.
+    A solved point is feasible when its solver did not call it infeasible,
+    a raw start when its violation is within `feasibility_bound`.  Strictly
+    lowest energy wins; ties within 1e-12 go to the lowest start index, and
+    within a start the polished point beats the raw one.
+    `params` None means the default SolverParams().  Returns (best,
+    failures, outcomes) with best = (energy, start_idx, rank, x, NlpResult
+    or None), or best = None when nothing was feasible.
     """
-    bscale = max(1.0, float(np.max(np.abs(nlp.ineq_rhs))))
-    feas = params.feas_tol * bscale
+    params = params or SolverParams()
+    feas = feasibility_bound(nlp, params)
 
     def run(idx, x0):
         try:
@@ -42,12 +45,6 @@ def run_multistart(nlp, starts, params, energy_fn):
 
     outcomes = [run(idx, x0) for idx, x0 in enumerate(starts)]
 
-    def violation_of(x):
-        v = float(np.max(nlp.ineq_matrix @ x - nlp.ineq_rhs, initial=0.0))
-        if nlp.equality is not None:
-            v = max(v, abs(nlp.equality(x)[0]))
-        return v
-
     candidates = []  # (energy, start_idx, rank, x, result)
     failures = []
     for (idx, outcome), x0 in zip(outcomes, starts):
@@ -56,9 +53,9 @@ def run_multistart(nlp, starts, params, energy_fn):
             result = None
         else:
             result = outcome
-            if violation_of(result.x) <= feas:
+            if result.status != "infeasible":
                 candidates.append((energy_fn(result.x), idx, 0, result.x, result))
-        if violation_of(x0) <= feas:
+        if violation(nlp, x0)[0] <= feas:
             candidates.append((energy_fn(x0), idx, 1, x0, result))
 
     best = None

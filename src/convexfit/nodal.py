@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
 from .results import SolveResult
-from .solver import NlpProblem, shape_params
+from .solver import NlpProblem
 
 INIT_SCALE_RANGE = (0.3, 1.0)
 
@@ -268,14 +268,12 @@ def _h0_builder(nlp, n, obj_hess_diag):
     by numpy.
     """
     cos = np.cos(TWO_PI / n)
-    A, b = nlp.ineq_matrix, nlp.ineq_rhs
     dim = nlp.dim
     has_gap, has_slack = nlp.n_ineq > 2 * n, dim > n
     idx = np.arange(n)
     up1, up2 = (idx + 1) % n, (idx + 2) % n
 
-    def builder(x, lam, mu, rho):
-        act = (lam + rho * (A @ x - b)) >= 0.0
+    def builder(x, act, rho):
         d_inc = act[:n].astype(float)
         d_cvx = act[n : 2 * n].astype(float)
         H = np.zeros((dim, dim))
@@ -408,7 +406,6 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     the optimal t, the Hausdorff-distance estimate, is the reported `energy`
     (and `minimax_slack`).
     """
-    params = params or shape_params()
     t0 = time.perf_counter()
     starts, zu = _gather_starts(prob, init, seeds, base_seed)
     if math.isinf(prob.p):

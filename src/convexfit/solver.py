@@ -4,12 +4,15 @@ constraints and one scalar equality constraint.
 The outer loop is the classical safeguarded method of multipliers:
 inequalities enter through the Powell-Hestenes-Rockafellar squared-hinge
 term with multiplier estimates, the equality through the usual linear +
-quadratic penalty.  Subproblems are minimized by a quasi-Newton descent
-with backtracking Armijo line search: limited-memory BFGS by default, or,
-when the problem supplies a curvature seed (`h0_builder`), damped Newton
-steps on the active-set Gauss-Newton model of the augmented Lagrangian.
-The seed is what makes the nearly-degenerate convexity constraints of the
-shape problems tractable; plain L-BFGS crawls in their flat valleys.
+quadratic penalty.  Subproblems are minimized by backtracking Armijo
+descent.  When the problem supplies a curvature seed (`h0_builder`), every
+step is a damped Newton step on the active-set Gauss-Newton model of the
+augmented Lagrangian; the solver hands the seed the current point, the
+active rows (lam + rho (A x - b) >= 0, from the residual it already holds)
+and the penalty rho.  Both shape discretizations supply a seed: it is what
+makes their nearly-degenerate convexity constraints tractable, where plain
+L-BFGS crawls in the flat valleys.  L-BFGS serves only problems without a
+seed.
 
 The line search evaluates its trials along a ray.  At every accepted point
 x the constraint residual r = A x - b is computed once, exactly, and A d
@@ -45,12 +48,15 @@ class NlpProblem:
     """min f(x)  s.t.  A x <= b  and  g(x) = 0.
 
     `objective` and `equality` map x to (value, gradient); either constraint
-    block may be absent.  All callables must be deterministic and return
-    finite values near the feasible set.
+    block may be absent (missing inequality rows become an empty block).
+    All callables must be deterministic and return finite values near the
+    feasible set.
 
-    `h0_builder(x, lam, mu, rho) -> (q -> d)` may supply an approximate
-    inverse Hessian of the augmented Lagrangian (rebuilt at every inner
-    iterate); problems with structured constraints should provide it.
+    `h0_builder(x, active, rho) -> (q -> d)` may supply an approximate
+    inverse Hessian of the augmented Lagrangian, rebuilt at every inner
+    iterate; `active` is the boolean mask of the inequality rows in the
+    hinge, lam + rho (A x - b) >= 0.  Problems with structured constraints
+    should provide it.
     """
 
     dim: int
@@ -61,47 +67,46 @@ class NlpProblem:
     h0_builder: object | None = None
 
     def __post_init__(self):
-        if self.ineq_matrix is not None:
-            self.ineq_matrix = np.asarray(self.ineq_matrix, dtype=float)
-            self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=float)
-            if self.ineq_matrix.shape != (self.ineq_rhs.size, self.dim):
-                raise ValueError("inequality matrix/rhs shapes do not match dim")
+        if self.ineq_matrix is None:
+            self.ineq_matrix, self.ineq_rhs = np.zeros((0, self.dim)), np.zeros(0)
+        self.ineq_matrix = np.asarray(self.ineq_matrix, dtype=float)
+        self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=float)
+        if self.ineq_matrix.shape != (self.ineq_rhs.size, self.dim):
+            raise ValueError("inequality matrix/rhs shapes do not match dim")
 
     @property
     def n_ineq(self):
-        return 0 if self.ineq_matrix is None else self.ineq_rhs.size
+        return self.ineq_rhs.size
+
+
+# Fixed policy of the method of multipliers and its line search.
+RHO_GROWTH = 10.0  # penalty factor when the violation fails to shrink
+RHO_MAX = 1e8
+VIOLATION_SHRINK = 4.0  # shrink factor that spares the penalty a raise
+INNER_TOL_FLOOR = 1e-9  # relative to the start gradient's inf-norm
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+LBFGS_MEMORY = 10
 
 
 @dataclass
 class SolverParams:
+    """The settable part of the solver: start penalty, tolerances, budgets.
+
+    The defaults are the shape solvers': tight feasibility and at most 150
+    inner iterations per outer one (each inner iteration is a Newton step).
+    """
+
     rho0: float = 10.0
-    rho_growth: float = 10.0
-    rho_max: float = 1e8
-    violation_shrink: float = 4.0
     outer_tol: float = 1e-6
-    feas_tol: float | None = None  # defaults to outer_tol
+    feas_tol: float = 1e-8
     max_outer: int = 30
-    max_inner: int = 300
-    memory: int = 10
-    inner_tol_floor: float = 1e-9
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
+    max_inner: int = 150
 
     def __post_init__(self):
-        if not (self.rho0 > 0 and self.rho_growth > 1):
-            raise ValueError("need rho0 > 0 and rho_growth > 1")
-        if not (self.outer_tol > 0 and self.inner_tol_floor > 0):
-            raise ValueError("tolerances must be positive")
-        if self.feas_tol is None:
-            self.feas_tol = self.outer_tol
-
-
-def shape_params(**overrides):
-    """The shape solvers' defaults: tight feasibility and at most 150 inner
-    iterations per outer one (each inner iteration is a Newton step)."""
-    defaults = dict(outer_tol=1e-6, feas_tol=1e-8, max_outer=30, max_inner=150)
-    return SolverParams(**{**defaults, **overrides})
+        if not (self.rho0 > 0 and self.outer_tol > 0):
+            raise ValueError("need rho0 > 0 and outer_tol > 0")
 
 
 @dataclass
@@ -129,16 +134,18 @@ class NlpResult:
     reason: str = "converged"  # outer exit: converged, max_outer, stalled or flat
 
 
-def _violation(problem, x):
-    """(max positive inequality overrun or |g|, g)."""
-    v_ineq = 0.0
-    if problem.n_ineq:
-        v_ineq = float(np.max(problem.ineq_matrix @ x - problem.ineq_rhs, initial=0.0))
-        v_ineq = max(v_ineq, 0.0)
+def violation(problem, x):
+    """(max positive inequality overrun or |g|, g) at x."""
+    v_ineq = float(np.max(problem.ineq_matrix @ x - problem.ineq_rhs, initial=0.0))
     g = 0.0
     if problem.equality is not None:
         g = float(problem.equality(x)[0])
     return max(v_ineq, abs(g)), g
+
+
+def feasibility_bound(problem, params):
+    """The largest violation that counts as feasible: feas_tol * max(1, |rhs|)."""
+    return params.feas_tol * max(1.0, float(np.max(np.abs(problem.ineq_rhs), initial=0.0)))
 
 
 def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
@@ -161,7 +168,7 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
         comp = float(np.max(np.abs(lam * slack), initial=0.0))
     if problem.equality is not None:
         r += eq_multiplier * problem.equality(x)[1]
-    primal, _ = _violation(problem, x)
+    primal, _ = violation(problem, x)
     stationarity = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(grad)))
     return {
         "stationarity": stationarity,
@@ -199,8 +206,7 @@ class _Augmented:
 
     def __init__(self, problem, lam, mu, rho):
         self.problem = problem
-        self.A = problem.ineq_matrix if problem.n_ineq else np.zeros((0, problem.dim))
-        self.b = problem.ineq_rhs if problem.n_ineq else np.zeros(0)
+        self.A, self.b = problem.ineq_matrix, problem.ineq_rhs
         self.lam, self.mu, self.rho = lam, mu, rho
         self.lam_sq = float(lam @ lam)
 
@@ -234,18 +240,20 @@ class _Augmented:
         return grad
 
 
-def _inner_minimize(al, x0, tol, params, make_h0=None):
-    """Quasi-Newton descent with backtracking Armijo on the _Augmented `al`.
+def _inner_minimize(al, x0, tol, params):
+    """Backtracking Armijo descent on the _Augmented `al`.
 
-    With `make_h0` the search direction is the damped Newton step
-    -H0(x)^{-1} g rebuilt at every iterate (no memory pairs: the hinge
-    structure of the augmented Lagrangian makes stale pairs harmful);
-    otherwise plain L-BFGS.  Trials are evaluated along the ray
-    r + s A d from the exact residual r of the current point, and the
-    accepted trial keeps its ray value (see the module docstring).
+    With the problem's `h0_builder` the search direction is the damped
+    Newton step -H0(x)^{-1} g, H0 rebuilt at every iterate from the active
+    rows of the current residual (no memory pairs: the hinge structure of
+    the augmented Lagrangian makes stale pairs harmful); without a seed it
+    is plain L-BFGS.  Trials are evaluated along the ray r + s A d from the
+    exact residual r of the current point, and the accepted trial keeps its
+    ray value (see the module docstring).
 
     Returns (x, iterations, AL evaluations, rejected trials).
     """
+    h0_builder = al.problem.h0_builder
     x = x0.copy()
     r = al.residual(x)
     parts = al.parts(x)
@@ -255,8 +263,8 @@ def _inner_minimize(al, x0, tol, params, make_h0=None):
     s_list, y_list = [], []
     iters, evals, backtracks = 0, 1, 0
     while iters < params.max_inner and np.linalg.norm(g, np.inf) > tol:
-        if make_h0 is not None:
-            d = -make_h0(x)(g)
+        if h0_builder is not None:
+            d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho)(g)
         else:
             d = _lbfgs_direction(g, s_list, y_list)
         slope = float(g @ d)
@@ -267,24 +275,16 @@ def _inner_minimize(al, x0, tol, params, make_h0=None):
         ad = al.A @ d
         step = 1.0
         accepted = None
-        fallback = None  # first simple-decrease trial (objective kinks break Armijo)
-        for _ in range(params.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_try = x + step * d
             parts = al.parts(x_try)
             f_try = al.value(parts, r + step * ad)
             evals += 1
-            if np.isfinite(f_try) and f_try <= f + params.armijo * step * slope:
+            if np.isfinite(f_try) and f_try <= f + ARMIJO * step * slope:
                 accepted = (x_try, parts, f_try)
                 break
             backtracks += 1
-            if (
-                fallback is None
-                and np.isfinite(f_try)
-                and f_try < f - 1e-12 * max(1.0, abs(f))
-            ):
-                fallback = (x_try, parts, f_try)
-            step *= params.backtrack
-        accepted = accepted or fallback
+            step *= BACKTRACK
         if accepted is None:
             if s_list:
                 s_list, y_list = [], []
@@ -293,13 +293,13 @@ def _inner_minimize(al, x0, tol, params, make_h0=None):
         x_new, parts, f_new = accepted
         r = al.residual(x_new)
         g_new = al.gradient(parts, r)
-        if make_h0 is None:
+        if h0_builder is None:
             s, y = x_new - x, g_new - g
             sy = float(s @ y)
             if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
                 s_list.append(s)
                 y_list.append(y)
-                if len(s_list) > params.memory:
+                if len(s_list) > LBFGS_MEMORY:
                     s_list.pop(0)
                     y_list.pop(0)
         x, f, g = x_new, f_new, g_new
@@ -315,11 +315,10 @@ def dense_h0_builder(problem, obj_hessian):
     the remaining model is positive semidefinite by construction.  Meant for
     moderate dimensions (the masked normal matrix is formed densely).
     """
-    A, b = problem.ineq_matrix, problem.ineq_rhs
+    A = problem.ineq_matrix
 
-    def builder(x, lam, mu, rho):
-        mask = (lam + rho * (A @ x - b)) >= 0.0
-        Am = A[mask]
+    def builder(x, active, rho):
+        Am = A[active]
         H = rho * (Am.T @ Am)
         Hf = obj_hessian(x)
         if np.ndim(Hf) == 1:
@@ -344,8 +343,8 @@ def solve_nlp(problem, x0, params=None):
 
     Each outer iteration minimizes the augmented Lagrangian to a tolerance
     that tightens with the outer counter, then updates multipliers; the
-    penalty grows tenfold whenever the violation is above tolerance and
-    failed to shrink by the configured factor.
+    penalty grows tenfold (up to RHO_MAX) whenever the violation is above
+    the feasibility bound and failed to shrink by VIOLATION_SHRINK.
     """
     params = params or SolverParams()
     x = np.asarray(x0, dtype=float).copy()
@@ -362,7 +361,7 @@ def solve_nlp(problem, x0, params=None):
     if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
         raise SolverAbort("objective not finite at x0")
     gscale = max(1.0, float(np.linalg.norm(g0, np.inf)))
-    bscale = max(1.0, float(np.max(np.abs(problem.ineq_rhs))) if problem.n_ineq else 1.0)
+    feas = feasibility_bound(problem, params)
 
     history = []
     prev_viol = np.inf
@@ -378,14 +377,11 @@ def solve_nlp(problem, x0, params=None):
         schedule = 10.0 ** (-2.0 - outer / 2.0)
         if np.isfinite(prev_viol):
             schedule = min(schedule, 0.3 * prev_viol)
-        tol_inner = max(params.inner_tol_floor, schedule) * gscale
-        make_h0 = None
-        if problem.h0_builder is not None:
-            make_h0 = lambda z: problem.h0_builder(z, lam, mu, rho)  # noqa: E731
+        tol_inner = max(INNER_TOL_FLOOR, schedule) * gscale
         al = _Augmented(problem, lam, mu, rho)
-        x, inner_iters, evals, backtracks = _inner_minimize(al, x, tol_inner, params, make_h0)
+        x, inner_iters, evals, backtracks = _inner_minimize(al, x, tol_inner, params)
 
-        viol, g_eq = _violation(problem, x)
+        viol, g_eq = violation(problem, x)
         lam_hat = al.hinge(al.residual(x))
         mu_hat = mu + rho * g_eq if problem.equality is not None else mu
         report = check_kkt(problem, x, lam_hat, mu_hat)
@@ -403,14 +399,14 @@ def solve_nlp(problem, x0, params=None):
         )
         lam, mu = lam_hat, mu_hat
 
-        if report["stationarity"] <= params.outer_tol and viol <= params.feas_tol * bscale:
+        if report["stationarity"] <= params.outer_tol and viol <= feas:
             status = reason = "converged"
             break
         stalled = stalled + 1 if inner_iters == 0 else 0
         if stalled >= 8:
             reason = "stalled"
             break  # repeated multiplier updates no longer move anything
-        feasible_now = viol <= params.feas_tol * bscale
+        feasible_now = viol <= feas
         obj_flat = abs(report["objective"] - prev_obj) <= 1e-8 * max(1.0, abs(report["objective"]))
         flat = flat + 1 if (feasible_now and obj_flat) else 0
         prev_obj = report["objective"]
@@ -419,14 +415,14 @@ def solve_nlp(problem, x0, params=None):
             break  # feasible and the objective has stopped moving
         if (
             inner_iters > 0  # an idle outer teaches nothing about the penalty
-            and viol > params.feas_tol * bscale
-            and viol > prev_viol / params.violation_shrink
+            and viol > feas
+            and viol > prev_viol / VIOLATION_SHRINK
         ):
-            rho = min(rho * params.rho_growth, params.rho_max)
+            rho = min(rho * RHO_GROWTH, RHO_MAX)
         prev_viol = viol
 
-    viol, _ = _violation(problem, x)
-    if status != "converged" and viol > params.feas_tol * bscale:
+    viol, _ = violation(problem, x)
+    if status != "converged" and viol > feas:
         status = "infeasible"
     return NlpResult(
         x=x,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from convexfit.config import ConfigError, parse_config, serialize_config
+from convexfit.config import ConfigError, parse_config, serialize_config, solver_params_from
 from convexfit.geometry import Disk, MinkowskiSum, Polygon, Stadium
 
 MINIMAL = """
@@ -65,6 +65,28 @@ def test_unknown_solver_key():
     with pytest.raises(ConfigError) as err:
         parse_config("container: disk\nsolver: {step_size: 0.1}\n")
     assert err.value.key == "solver"
+
+
+@pytest.mark.parametrize("key", ["rho_growth", "rho_max", "violation_shrink", "memory"])
+def test_fixed_solver_policy_is_not_a_key(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"container: disk\nsolver: {{{key}: 10}}\n")
+    assert err.value.key == "solver"
+
+
+def test_solver_keys_round_trip_into_params():
+    text = """
+container: disk
+solver: {rho0: 5.0, outer_tol: 1.0e-7, feas_tol: 1.0e-9, max_outer: 12, max_inner: 80}
+"""
+    solver = {"rho0": 5.0, "outer_tol": 1e-7, "feas_tol": 1e-9, "max_outer": 12, "max_inner": 80}
+    once = serialize_config(parse_config(text))
+    cfg = parse_config(once)
+    assert serialize_config(cfg) == once
+    assert cfg.solver == solver
+    params = solver_params_from(cfg)
+    assert {k: getattr(params, k) for k in solver} == solver
+    assert isinstance(params.max_outer, int) and isinstance(params.max_inner, int)
 
 
 def test_parse_error_reports_position():

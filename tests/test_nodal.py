@@ -204,7 +204,7 @@ class TestNewtonSeed:
             eg = nlp.equality(x)[1]
             H += rho * np.outer(eg, eg)
         q = rng.standard_normal(nlp.dim)
-        d = nlp.h0_builder(x, lam, 0.0, rho)(q)
+        d = nlp.h0_builder(x, act, rho)(q)
         assert np.linalg.norm(H @ d - q) <= 1e-6 * np.linalg.norm(q)
 
     def shape(self, prob, seed):

@@ -8,6 +8,7 @@ import pytest
 from convexfit import fourier, nodal
 from convexfit.fourier import FourierProblem, solve_fourier
 from convexfit.geometry import named_container
+from convexfit.multistart import best_status, run_multistart
 from convexfit.nodal import NodalProblem, solve_nodal
 from convexfit.solver import (
     NlpProblem,
@@ -15,6 +16,7 @@ from convexfit.solver import (
     SolverParams,
     _Augmented,
     check_kkt,
+    dense_h0_builder,
     solve_nlp,
 )
 
@@ -61,6 +63,20 @@ def test_symmetric_projection():
     report = check_kkt(prob, res.x, None, res.eq_multiplier)
     assert report["stationarity"] <= 1e-8
     assert report["primal"] <= 1e-8
+
+
+def test_multistart_without_inequality_rows():
+    # no inequality block: the feasibility bound and the dense seed see 0 rows
+    prob = NlpProblem(
+        dim=2,
+        objective=lambda x: (float(x @ x), 2.0 * x),
+        equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
+    )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
+    best, failures, _ = run_multistart(prob, [np.zeros(2)], SolverParams(), lambda x: float(x @ x))
+    assert not failures
+    np.testing.assert_allclose(best[3], [0.5, 0.5], atol=1e-8)
+    assert best_status(best) == ("converged", "")
 
 
 def test_kkt_flags_interior_point():
@@ -175,8 +191,6 @@ def test_nonfinite_objective_aborts():
 def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(rho0=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(rho_growth=0.5)
     with pytest.raises(ValueError):
         SolverParams(outer_tol=0.0)
 
