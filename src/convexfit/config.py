@@ -59,6 +59,7 @@ DEFAULTS = {
 }
 
 SOLVER_KEYS = ("rho0", "outer_tol", "feas_tol", "max_outer", "max_inner")
+SOLVER_BUDGETS = ("max_outer", "max_inner")  # iteration counts: integers >= 1
 
 
 class ConfigError(ValueError):
@@ -264,6 +265,7 @@ def parse_config(text):
             _require(
                 isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number", f"solver.{k}"
             )
+            _require(k not in SOLVER_BUDGETS or isinstance(v, int), "must be an integer", f"solver.{k}")
             _require(v > 0, "must be positive", f"solver.{k}")
         solver = {k: solver[k] for k in sorted(solver)}
 
@@ -323,8 +325,5 @@ def solver_params_from(cfg):
     """SolverParams built from the config's solver overrides (if any)."""
     from .solver import SolverParams
 
-    overrides = {
-        k: int(v) if k in ("max_outer", "max_inner") else float(v)
-        for k, v in (cfg.solver or {}).items()
-    }
+    overrides = {k: v if k in SOLVER_BUDGETS else float(v) for k, v in (cfg.solver or {}).items()}
     return SolverParams(**overrides)

@@ -5,7 +5,10 @@ h(theta) = a_0 + sum_k a_k cos(k theta) + b_k sin(k theta).  Inclusion and
 convexity are enforced on a finite constraint grid of M angles (2M linear
 rows), the area is the exact quadratic form
 pi a_0^2 + (pi/2) sum (1-j^2)(a_j^2 + b_j^2), and the objective is the
-rectangle-rule powered gap on a finer quadrature grid of Q angles.
+rectangle-rule powered gap on a finer quadrature grid of Q angles.  The
+Newton seed's objective Hessian, a weighted Gram of the basis on that grid,
+is assembled from one FFT of its quadrature weights in O(Q log Q + n_f^2):
+on a uniform grid the Gram is Toeplitz-plus-Hankel in the weights' DFT.
 
 Degree-1 coefficients are pure translations: they carry zero area and zero
 curvature, which several initialization tricks below exploit.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +121,54 @@ def basis_matrix(angles, n_f, curvature=False):
         cos = cos * factor
         sin = sin * factor
     return np.hstack([np.ones((angles.size, 1)), cos, sin])
+
+
+@lru_cache(maxsize=16)
+def _gram_gather(n_f, size):
+    """Indices that turn the weights' DFT into their Gram of the basis.
+
+    With C = Re F and S = -Im F for the weights' rfft F, the product-to-sum
+    identities give, in basis order [1, cos j, sin j]:
+      cos j cos k = (C[j-k] + C[j+k]) / 2,   sin j sin k = (C[j-k] - C[j+k]) / 2,
+      cos j sin k = (S[j+k] - S[j-k]) / 2.
+    Frequencies fold mod `size`; past size/2 they read the conjugate bin
+    (C even, S odd).  Returns two symmetric index matrices into the
+    spectrum [C, -C, S, -S] / 2, whose gathered sum is the Gram.
+    """
+    half = size // 2 + 1
+
+    def fold(freq, odd, negate):
+        r = np.mod(freq, size)
+        mirror = r > size // 2
+        negative = negate ^ (mirror & odd)
+        return np.where(mirror, size - r, r) + half * (2 * odd + negative)
+
+    a = np.arange(2 * n_f + 1)
+    j = np.where(a <= n_f, a, a - n_f)  # frequency of each basis column
+    row_sin, col_sin = np.meshgrid(a > n_f, a > n_f, indexing="ij")
+    row_j, col_j = np.meshgrid(j, j, indexing="ij")
+    cross = row_sin != col_sin
+    cos_j = np.where(row_sin, col_j, row_j)  # the cos and sin frequencies of
+    sin_k = np.where(row_sin, row_j, col_j)  # a cross entry, either side
+    first = np.where(cross, fold(cos_j + sin_k, True, False), fold(row_j - col_j, False, False))
+    second = np.where(
+        cross, fold(cos_j - sin_k, True, True), fold(row_j + col_j, False, row_sin & col_sin)
+    )
+    first.setflags(write=False)  # shared by every caller through the cache
+    second.setflags(write=False)
+    return first, second
+
+
+def _weighted_gram(weights, n_f):
+    """B^T diag(weights) B for the basis rows on the uniform grid of len(weights) angles.
+
+    One rfft of the weights and two gathers (see `_gram_gather`); exact on
+    aliased grids, and symmetric bit for bit.
+    """
+    f = 0.5 * np.fft.rfft(weights)
+    spectrum = np.concatenate([f.real, -f.real, -f.imag, f.imag])
+    first, second = _gram_gather(n_f, len(weights))
+    return spectrum[first] + spectrum[second]
 
 
 def assemble_linear_constraints(prob):
@@ -268,7 +320,7 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
             return np.zeros(prob.dim)
         gap = np.maximum((hq - B @ x) / ref, 0.0)
         d = p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
-        return (B.T * d) @ B
+        return _weighted_gram(d, prob.n_f)
 
     area_scale = max(prob.container_area, 1e-300)
 

@@ -107,6 +107,10 @@ class SolverParams:
     def __post_init__(self):
         if not (self.rho0 > 0 and self.outer_tol > 0):
             raise ValueError("need rho0 > 0 and outer_tol > 0")
+        for name in ("max_outer", "max_inner"):
+            budget = getattr(self, name)
+            if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {budget!r}")
 
 
 @dataclass
@@ -316,19 +320,20 @@ def dense_h0_builder(problem, obj_hessian):
     moderate dimensions (the masked normal matrix is formed densely).
     """
     A = problem.ineq_matrix
+    diagonal = slice(None, None, problem.dim + 1)  # of H.flat
 
     def builder(x, active, rho):
         Am = A[active]
         H = rho * (Am.T @ Am)
         Hf = obj_hessian(x)
         if np.ndim(Hf) == 1:
-            H[np.diag_indices_from(H)] += Hf
+            H.flat[diagonal] += Hf
         else:
             H += Hf
         if problem.equality is not None:
             eg = problem.equality(x)[1]
             H += rho * np.outer(eg, eg)
-        H[np.diag_indices_from(H)] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
+        H.flat[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
 
         def apply(q):
             return np.linalg.solve(H, q)

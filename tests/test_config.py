@@ -89,6 +89,15 @@ solver: {rho0: 5.0, outer_tol: 1.0e-7, feas_tol: 1.0e-9, max_outer: 12, max_inne
     assert isinstance(params.max_outer, int) and isinstance(params.max_inner, int)
 
 
+@pytest.mark.parametrize("key", ["max_outer", "max_inner"])
+@pytest.mark.parametrize("value", ["0.5", "2.7", "12.0", "0", "-3"])
+def test_solver_budgets_must_be_positive_integers(key, value):
+    # a fractional budget used to be truncated: max_outer 0.5 ran no outer iteration
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"container: disk\nsolver: {{{key}: {value}}}\n")
+    assert err.value.key == f"solver.{key}"
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ConfigError) as err:
         parse_config("container: [unclosed\n")

@@ -8,6 +8,7 @@ from convexfit.fourier import (
     FourierProblem,
     FourierShape,
     assemble_linear_constraints,
+    basis_matrix,
     fourier_area,
     fourier_objective,
     fourier_to_nodal,
@@ -125,6 +126,66 @@ class TestObjective:
         v0 = fourier_objective(x, prob0)[0]
         v1 = fourier_objective(x_shift, prob1)[0]
         assert abs(v0 - v1) <= 1e-12
+
+
+class TestWeightedGram:
+    """The FFT-assembled Gram equals the dense product B^T diag(w) B."""
+
+    @pytest.mark.parametrize(
+        "size, n_f, first",
+        [
+            (1024, 32, 0),  # the quadrature grid
+            (768, 32, 1),  # the constraint grid, theta_k = 2 pi k / m for k = 1..m
+            (40, 32, 0),  # aliased: frequencies up to 2 n_f fold mod 40
+            (7, 5, 0),  # odd size: no Nyquist bin
+        ],
+    )
+    def test_matches_dense_product(self, size, n_f, first):
+        rng = np.random.default_rng(size)
+        weights = rng.uniform(0.0, 1.0, size)
+        B = basis_matrix(2 * np.pi * np.arange(first, size + first) / size, n_f)
+        dense = (B.T * weights) @ B
+        # the helper's grid starts at angle 0: roll the weights to its order
+        gram = fourier._weighted_gram(np.roll(weights, first), n_f)
+        assert gram.shape == (2 * n_f + 1, 2 * n_f + 1)
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+class TestNewtonSeed:
+    """The dense seed inverts B^T diag(d) B + rho A_act^T A_act + rho e_g e_g^T
+    plus the builder's shift, with the objective Hessian built densely here."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inverts_dense_reference(self, monkeypatch, seed):
+        prob = FourierProblem(SQUARE, n_f=8, m=64, q=128, p=10.0, alpha=0.7)
+        seen = {}
+
+        def capture(nlp, starts, *args):
+            seen["nlp"], seen["anchor"] = nlp, starts[0]
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(fourier, "run_multistart", capture)
+        with pytest.raises(RuntimeError, match="captured"):
+            solve_fourier(prob, seeds=0)
+        nlp, rho, p = seen["nlp"], 10.0, prob.p
+        rng = np.random.default_rng(seed)
+        x = seen["anchor"] + 1e-3 * rng.standard_normal(nlp.dim)
+        act = rng.uniform(size=nlp.n_ineq) < 0.5
+
+        B = basis_matrix(prob.quadrature_angles, prob.n_f)
+        w = 2 * np.pi / prob.q
+        raw = np.maximum(prob.container_on_quadrature - B @ x, 0.0)
+        # the objective divides the gap by a scale; read it back from the value
+        ref = (w * np.sum(raw**p) / nlp.objective(x)[0]) ** (1.0 / p)
+        d = p * (p - 1.0) * w / ref**2 * (raw / ref) ** (p - 2.0)
+        A = nlp.ineq_matrix[act]
+        eg = nlp.equality(x)[1]
+        H = (B.T * d) @ B + rho * A.T @ A + rho * np.outer(eg, eg)
+        H += 1e-8 * max(1.0, float(np.max(np.abs(H)))) * np.eye(nlp.dim)
+        q = rng.standard_normal(nlp.dim)
+        step = nlp.h0_builder(x, act, rho)(q)
+        assert np.linalg.norm(H @ step - q) <= 1e-8 * np.linalg.norm(q)
 
 
 class TestToNodal:

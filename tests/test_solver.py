@@ -193,6 +193,12 @@ def test_params_validation():
         SolverParams(rho0=-1.0)
     with pytest.raises(ValueError):
         SolverParams(outer_tol=0.0)
+    for budget in (0.5, 2.7, 12.0, 0, -3, True):
+        with pytest.raises(ValueError, match="max_outer"):
+            SolverParams(max_outer=budget)
+        with pytest.raises(ValueError, match="max_inner"):
+            SolverParams(max_inner=budget)
+    assert SolverParams(max_outer=np.int64(1), max_inner=1).max_outer == 1
 
 
 class _Captured(Exception):
