@@ -28,17 +28,6 @@ from .geometry import (
 SCHEMA_VERSION = 1
 
 METHODS = ("fourier", "nodal", "minimax", "both")
-SUBCOMMANDS = (
-    "solve",
-    "sweep-p",
-    "sweep-alpha",
-    "compare-methods",
-    "f-curve",
-    "equivalence",
-    "oracle",
-    "validate",
-    "export-svg",
-)
 
 DEFAULTS = {
     "p": 2.0,
@@ -100,7 +89,8 @@ def _parse_container(doc, key="container"):
             # not a stock name: maybe a file holding a container document
             if os.path.exists(doc):
                 try:
-                    nested = yaml.safe_load(open(doc).read())
+                    with open(doc) as fh:
+                        nested = yaml.safe_load(fh)
                 except (OSError, yaml.YAMLError) as file_exc:
                     raise ConfigError(f"container file {doc!r}: {file_exc}", key) from file_exc
                 spec, _ = _parse_container(nested, key)
@@ -209,11 +199,15 @@ def parse_config(text):
             values[name] = default
             defaults_applied.append(name)
 
-    def as_float(name, lo=None, hi=None, allow_inf=False):
-        v = values[name]
+    def as_float(v, name, lo=None, hi=None, allow_inf=False):
+        """A number (or, with `allow_inf`, the token 'inf') within [lo, hi], as a float."""
         if isinstance(v, str) and allow_inf and v.lower() in ("inf", "infinity"):
             return math.inf
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number", name)
+        _require(
+            isinstance(v, (int, float)) and not isinstance(v, bool),
+            "must be a number or 'inf'" if allow_inf else "must be a number",
+            name,
+        )
         v = float(v)
         if math.isinf(v):
             _require(allow_inf, "must be finite", name)
@@ -222,39 +216,28 @@ def parse_config(text):
         _require(hi is None or v <= hi, f"must be <= {hi}", name)
         return v
 
+    def as_floats(name, **bounds):
+        """None, or a non-empty list whose every entry passes as_float."""
+        v = values[name]
+        if v is not None:
+            _require(isinstance(v, list) and v, "must be a non-empty list", name)
+            v = [as_float(entry, name, **bounds) for entry in v]
+        return v
+
     def as_int(name, lo):
         v = values[name]
         _require(isinstance(v, int) and not isinstance(v, bool), "must be an integer", name)
         _require(v >= lo, f"must be >= {lo}", name)
         return v
 
-    p = as_float("p", lo=1.0, allow_inf=True)
-    alpha = as_float("alpha", lo=0.0, hi=1.0)
+    p = as_float(values["p"], "p", lo=1.0, allow_inf=True)
+    alpha = as_float(values["alpha"], "alpha", lo=0.0, hi=1.0)
     method = values["method"]
     _require(method in METHODS, f"must be one of {METHODS}", "method")
 
-    alphas = values["alphas"]
-    if alphas is not None:
-        _require(isinstance(alphas, list) and alphas, "must be a non-empty list", "alphas")
-        alphas = [float(a) for a in alphas]
-        _require(all(0.0 <= a <= 1.0 for a in alphas), "entries must lie in [0, 1]", "alphas")
-        _require(all(b > a for a, b in zip(alphas, alphas[1:])), "must increase", "alphas")
-    ps = values["ps"]
-    if ps is not None:
-        _require(isinstance(ps, list) and ps, "must be a non-empty list", "ps")
-        parsed = []
-        for entry in ps:
-            if isinstance(entry, str) and entry.lower() in ("inf", "infinity"):
-                parsed.append(math.inf)
-            else:
-                _require(
-                    isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                    "entries must be numbers or 'inf'",
-                    "ps",
-                )
-                _require(entry >= 1, "entries must be >= 1", "ps")
-                parsed.append(float(entry))
-        ps = parsed
+    alphas = as_floats("alphas", lo=0.0, hi=1.0)
+    _require(alphas is None or all(b > a for a, b in zip(alphas, alphas[1:])), "must increase", "alphas")
+    ps = as_floats("ps", lo=1.0, allow_inf=True)
 
     solver = values["solver"]
     if solver is not None:

@@ -3,7 +3,7 @@ optimum, Fourier-vs-nodal method comparison, the value curve alpha -> f(alpha),
 the area/energy problem-equivalence probe, and boundary-polygonality metrics.
 
 Every study is deterministic given (config, base seed): per-cell seeds are
-derived as (base_seed, cell_index), cells may run concurrently, and output
+derived as (base_seed, cell_index), cells run one after another, and output
 CSV/SVG bytes are identical across reruns.
 """
 
@@ -22,14 +22,14 @@ from .geometry import (
     container_scale,
     convexity_residuals,
     hausdorff_from_supports,
+    powered_gap,
     support_samples,
 )
-from .multistart import InfeasibleError, best_violation_message, run_multistart
+from .multistart import InfeasibleError, run_multistart
 from .nodal import (
     NodalProblem,
     _gather_starts,
     _nodal_nlp,
-    _powered_gap,
     energy_of,
     nodal_area,
     solve_nodal,
@@ -280,17 +280,18 @@ def equivalence_probe(cfg):
         eq_scale = max(target_powered, 1e-12)
 
         def equality(x):
-            value, grad, _ = _powered_gap(x, prob)
+            value, grad, _ = powered_gap(x, prob.container_values, p)
             return (value - target_powered) / eq_scale, grad / eq_scale
 
         nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
 
     starts = [stage1.samples.values.copy()]
     starts += _gather_starts(prob, None, cfg.seeds, cfg.cell_seed(1))[0]
-    best, failures, outcomes = run_multistart(nlp, starts, cfg.params, lambda x: nodal_area(x)[0])
-    if best is None:
-        raise InfeasibleError(f"area-minimization stage: {best_violation_message(failures, outcomes)}")
-    area, _, _, x, _ = best
+    try:
+        winner = run_multistart(nlp, starts, cfg.params, lambda x: nodal_area(x)[0])
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"area-minimization stage: {exc}") from None
+    area = winner.energy
     report = {
         "p": p,
         "alpha": alpha,
@@ -300,13 +301,13 @@ def equivalence_probe(cfg):
         "area_gap": abs(area - prob.target_area),
         "relative_gap": abs(area - prob.target_area) / max(prob.container_area_discrete, 1e-300),
         "stage1": stage1,
-        "stage2_samples": SupportSamples(x),
+        "stage2_samples": SupportSamples(winner.x),
     }
     if cfg.output_dir is not None:
         columns = ["p", "alpha", "f_value", "target_area", "recovered_area", "area_gap"]
         exports.export_study_csv(
             columns,
-            [{c: (report[c] if not (c == "p" and math.isinf(report[c])) else float("inf")) for c in columns}],
+            [{c: report[c] for c in columns}],
             cfg.out_path(f"equivalence_{cfg.container_name}.csv"),
         )
     return report

@@ -30,9 +30,10 @@ from .geometry import (
     container_area,
     container_scale,
     interior_point,
+    powered_gap,
     support_eval,
 )
-from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
+from .multistart import InfeasibleError, run_multistart, seed_key
 from .results import SolveResult
 from .solver import NlpProblem, dense_h0_builder
 
@@ -201,14 +202,8 @@ def fourier_objective(shape, prob):
     """
     x = shape.to_vector() if isinstance(shape, FourierShape) else np.asarray(shape, float)
     B = basis_matrix(prob.quadrature_angles, prob.n_f)
-    gap = np.maximum(prob.container_on_quadrature - B @ x, 0.0)
-    w = TWO_PI / prob.q
-    value = w * np.sum(gap**prob.p)
-    if prob.p > 1.0:
-        grad = -prob.p * w * (B.T @ gap ** (prob.p - 1.0))
-    else:
-        grad = -w * (B.T @ (gap > 0.0).astype(float))
-    return float(value), grad
+    value, grad, _ = powered_gap(B @ x, prob.container_on_quadrature, prob.p)
+    return value, B.T @ grad
 
 
 def fourier_to_nodal(shape, n):
@@ -306,21 +301,15 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     def objective(x):
         if p == 1.0:
             # linear form: no kink on the inclusion boundary (see nodal)
-            gap = (hq - B @ x) / ref
-            value = w * np.sum(gap)
-            grad = ones_grad
-        else:
-            gap = np.maximum((hq - B @ x) / ref, 0.0)
-            value = w * np.sum(gap**p)
-            grad = -(p / ref) * w * (B.T @ gap ** (p - 1.0))
-        return float(value), grad.copy()
+            return float(w * np.sum((hq - B @ x) / ref)), ones_grad.copy()
+        value, grad, _ = powered_gap(B @ x, hq, p, ref)
+        return value, B.T @ grad
 
     def obj_hessian(x):
         if p < 2.0:
             return np.zeros(prob.dim)
-        gap = np.maximum((hq - B @ x) / ref, 0.0)
-        d = p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
-        return _weighted_gram(d, prob.n_f)
+        gap = powered_gap(B @ x, hq, p, ref)[2]
+        return _weighted_gram(p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0), prob.n_f)
 
     area_scale = max(prob.container_area, 1e-300)
 
@@ -340,21 +329,18 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     def energy_fn(x):
         return fourier_objective(x, prob)[0] ** (1.0 / p)
 
-    best, failures, outcomes = run_multistart(nlp, starts, params, energy_fn)
-    if best is None:
-        raise InfeasibleError(best_violation_message(failures, outcomes))
-    energy, idx, _, x, result = best
+    winner = run_multistart(nlp, starts, params, energy_fn)
+    x = winner.x
     shape = FourierShape.from_vector(x)
     powered = fourier_objective(x, prob)[0]
     area = fourier_area(x)[0]
     row_violation = float(np.max(rows @ x - rhs, initial=0.0))
     inc_gap = prob.container_on_constraints - inc_rows @ x
     cvx_val = cvx_rows @ x
-    status, reason = best_status(best)
-    blended = f"blended row violation {row_violation:.1e}" if row_violation > 0 else ""
-    return SolveResult(
+    return SolveResult.from_winner(
+        winner,
+        note=f"blended row violation {row_violation:.1e}" if row_violation > 0 else "",
         samples=fourier_to_nodal(shape, n_samples),
-        energy=energy,
         powered_value=powered,
         sigma_normalized=float((powered / TWO_PI) ** (1.0 / p)),
         p=p,
@@ -362,13 +348,8 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
         area_residual=(area - prob.target_area) / area_scale,
         max_inclusion_violation=float(np.max(-inc_gap, initial=0.0)),
         min_convexity_residual=float(np.min(cvx_val)),
-        kkt_residual=result.kkt_residual if result is not None else np.inf,
-        status=status,
-        history=result.history if result is not None else [],
         wall_time=time.perf_counter() - t0,
         base_seed=base_seed,
         n_starts=len(starts),
-        best_start=idx,
         fourier_coefficients=(shape.a, shape.b),
-        message="; ".join(filter(None, failures + [reason, blended])),
     )

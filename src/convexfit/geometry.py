@@ -262,6 +262,22 @@ def perimeter_from_support(h):
     return float(TWO_PI / v.size * np.sum(v))
 
 
+def powered_gap(values, container_values, p, ref=1.0):
+    """Rectangle-rule powered gap (2*pi/K) sum g_k^p over K uniform samples
+    of the clamped gap g = max((h_C - h) / ref, 0), its gradient in the
+    samples, and g itself.
+
+    The clamp at zero keeps odd and fractional exponents real for iterates
+    that overshoot the container between multiplier updates; at clamped
+    samples the gradient is taken as zero.
+    """
+    gap = np.maximum((container_values - values) / ref, 0.0)
+    w = TWO_PI / gap.size
+    value = w * np.sum(gap**p)
+    grad = -(p / ref) * w * gap ** (p - 1.0) if p > 1.0 else -(w / ref) * (gap > 0.0)
+    return float(value), grad, gap
+
+
 def hausdorff_from_supports(h1, h2):
     """max_j |h1_j - h2_j| on a shared grid."""
     if h1.n != h2.n:

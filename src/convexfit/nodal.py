@@ -8,7 +8,9 @@ the container and the quadratic area equality complete the program; p = inf
 is handled by an epigraph slack variable, never by a huge finite exponent.
 
 The constraint stencils are circulant, so the Gauss-Newton seed handed to
-the solver is assembled in O(N) as a pentadiagonal-plus-rank-one matrix.
+the solver is pentadiagonal plus rank one.  It is still filled into a dense
+matrix and solved by np.linalg.solve, O(N^3) per Newton step, which is
+where large-N solves spend most of their time.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .geometry import (
     container_scale,
     convexity_residuals,
     interior_point,
+    powered_gap,
     support_samples,
     unit_vector,
 )
-from .multistart import InfeasibleError, best_status, best_violation_message, run_multistart, seed_key
+from .multistart import run_multistart, seed_key
 from .results import SolveResult
 from .solver import NlpProblem
 
@@ -82,28 +85,11 @@ def nodal_area(h):
     return float(kappa * np.sum(v * c)), 2.0 * kappa * c
 
 
-def _powered_gap(h, prob, ref=1.0):
-    """Rectangle-rule powered gap (2pi/N) sum g_j^p of the clamped gap
-    g = max((h_C - h) / ref, 0), its gradient in h, and g itself.
-
-    The clamp at zero keeps odd and fractional exponents real for iterates
-    that overshoot the container between multiplier updates; at clamped
-    nodes the gradient is taken as zero.
-    """
-    gap = np.maximum((prob.container_values - h) / ref, 0.0)
-    w = TWO_PI / prob.n
-    p = prob.p
-    value = w * np.sum(gap**p)
-    grad = -(p / ref) * w * gap ** (p - 1.0) if p > 1.0 else -(w / ref) * (gap > 0.0)
-    return float(value), grad, gap
-
-
 def nodal_objective(h, prob):
     """Powered gap (2pi/N) sum max(h_C - h_j, 0)^p and its gradient."""
     if math.isinf(prob.p):
         raise GeometryError("p = inf has no smooth nodal objective; solve_nodal uses the epigraph form")
-    value, grad, _ = _powered_gap(_values(h), prob)
-    return value, grad
+    return powered_gap(_values(h), prob.container_values, prob.p)[:2]
 
 
 @dataclass
@@ -137,7 +123,7 @@ def energy_of(h, prob):
     v = _values(h)
     if math.isinf(prob.p):
         return float(np.max(np.maximum(prob.container_values - v, 0.0)))
-    return float(_powered_gap(v, prob)[0] ** (1.0 / prob.p))
+    return float(powered_gap(v, prob.container_values, prob.p)[0] ** (1.0 / prob.p))
 
 
 def convexify(values):
@@ -258,14 +244,15 @@ def _nodal_nlp(prob, objective, obj_hess_diag, equality, gap_rows=None, gap_rhs=
 
 
 def _h0_builder(nlp, n, obj_hess_diag):
-    """O(N) assembly of the Gauss-Newton seed for the solver.
+    """The Gauss-Newton seed for the solver, filled band by band.
 
     The active normal matrix rho A_act^T A_act is diagonal (inclusion and
     gap rows) plus C^T D C for the convexity stencil, i.e. pentadiagonal
     with circular wrap; a slack column (dimension N + 1) borders it, and
     the equality gradient adds a rank-one term.  Rows beyond the first 2N
-    are gap rows.  The dense matrix is filled band by band and factorized
-    by numpy.
+    are gap rows.  The bands go into a dense (dim x dim) matrix that
+    np.linalg.solve factors at every apply: O(N^3), about half of an N = 512
+    solve.
     """
     cos = np.cos(TWO_PI / n)
     dim = nlp.dim
@@ -306,45 +293,6 @@ def _h0_builder(nlp, n, obj_hess_diag):
     return builder
 
 
-def _assemble_result(prob, best, failures, outcomes, elapsed, base_seed, n_starts):
-    if best is None:
-        raise InfeasibleError(best_violation_message(failures, outcomes))
-    energy, idx, _, x, result = best
-    values = x[: prob.n]
-    report = nodal_constraints(values, prob)
-    area = nodal_area(values)[0]
-    if math.isinf(prob.p):
-        powered = float("inf")
-        sigma = energy
-        slack = float(x[-1])
-    else:
-        powered = _powered_gap(values, prob)[0]
-        sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
-        slack = None
-    flagged = float(np.min(report.convexity)) >= -1e-9 * max(1.0, float(np.max(np.abs(values))))
-    status, reason = best_status(best)
-    return SolveResult(
-        samples=SupportSamples(values, convex_checked=flagged),
-        energy=energy,
-        powered_value=powered,
-        sigma_normalized=sigma,
-        p=prob.p,
-        area=area,
-        area_residual=report.area_residual,
-        max_inclusion_violation=float(np.max(-report.inclusion, initial=0.0)),
-        min_convexity_residual=float(np.min(report.convexity)),
-        kkt_residual=result.kkt_residual if result is not None else np.inf,
-        status=status,
-        history=result.history if result is not None else [],
-        wall_time=elapsed,
-        base_seed=base_seed,
-        n_starts=n_starts,
-        best_start=idx,
-        minimax_slack=slack,
-        message="; ".join(filter(None, failures + [reason])),
-    )
-
-
 def _epigraph_nlp(prob):
     """p = inf program over (h, t): min t with every gap h_C - h_j <= t."""
     n = prob.n
@@ -381,8 +329,7 @@ def _powered_nlp(prob, zu):
     else:
 
         def objective(x):
-            value, grad, _ = _powered_gap(x, prob, ref)
-            return value, grad
+            return powered_gap(x, prob.container_values, p, ref)[:2]
 
     def obj_hess_diag(x):
         # below p = 2 the powered gap has little or no curvature; a proximal
@@ -390,7 +337,7 @@ def _powered_nlp(prob, zu):
         # at the natural shape scale
         if p < 2.0:
             return np.full(n, w / ref**2)
-        gap = _powered_gap(x, prob, ref)[2]
+        gap = powered_gap(x, prob.container_values, p, ref)[2]
         return p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
 
     return _nodal_nlp(prob, objective, obj_hess_diag, _area_equality(prob))
@@ -403,8 +350,7 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     convexified, then competes with the deterministic scaled-copy anchor and
     `seeds` random feasible starts.  p = inf is solved in epigraph form,
     min t with every gap <= t: each start gets its largest gap as slack, and
-    the optimal t, the Hausdorff-distance estimate, is the reported `energy`
-    (and `minimax_slack`).
+    the optimal t, the Hausdorff-distance estimate, is the reported `energy`.
     """
     t0 = time.perf_counter()
     starts, zu = _gather_starts(prob, init, seeds, base_seed)
@@ -424,7 +370,26 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
         def energy(x):
             return energy_of(x, prob)
 
-    best, failures, outcomes = run_multistart(nlp, starts, params, energy)
-    return _assemble_result(
-        prob, best, failures, outcomes, time.perf_counter() - t0, base_seed, len(starts)
+    winner = run_multistart(nlp, starts, params, energy)
+    values = winner.x[: prob.n]
+    report = nodal_constraints(values, prob)
+    if math.isinf(prob.p):
+        powered, sigma = float("inf"), winner.energy
+    else:
+        powered = powered_gap(values, prob.container_values, prob.p)[0]
+        sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
+    flagged = float(np.min(report.convexity)) >= -1e-9 * max(1.0, float(np.max(np.abs(values))))
+    return SolveResult.from_winner(
+        winner,
+        samples=SupportSamples(values, convex_checked=flagged),
+        powered_value=powered,
+        sigma_normalized=sigma,
+        p=prob.p,
+        area=nodal_area(values)[0],
+        area_residual=report.area_residual,
+        max_inclusion_violation=float(np.max(-report.inclusion, initial=0.0)),
+        min_convexity_residual=float(np.min(report.convexity)),
+        wall_time=time.perf_counter() - t0,
+        base_seed=base_seed,
+        n_starts=len(starts),
     )

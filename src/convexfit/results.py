@@ -36,9 +36,23 @@ class SolveResult:
     n_starts: int = 0
     best_start: int = -1
     fourier_coefficients: tuple[np.ndarray, np.ndarray] | None = None
-    minimax_slack: float | None = None
     message: str = ""
 
-    @property
-    def feasible(self):
-        return self.status in ("converged", "max_iter")
+    @classmethod
+    def from_winner(cls, winner, note="", **fields):
+        """A result whose solve-tail fields come from a multistart Winner.
+
+        The winner gives `energy`, `kkt_residual`, `status`, `history`,
+        `best_start` and `message`, with `note` appended to the message;
+        `fields` are the discretization's own.
+        """
+        result = winner.result
+        return cls(
+            energy=winner.energy,
+            kkt_residual=result.kkt_residual if result is not None else np.inf,
+            status=winner.status,
+            history=result.history if result is not None else [],
+            best_start=winner.start,
+            message="; ".join(filter(None, [winner.message, note])),
+            **fields,
+        )

@@ -30,6 +30,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_bad_alphas_entry_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.yaml", "container: disk\nalphas: [0.1, abc]\n")
+    assert main(["validate", cfg]) == 2
+    assert "alphas" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["solve", "/nonexistent/cfg.yaml"]) == 2
 

@@ -152,6 +152,14 @@ def test_alphas_must_increase():
     assert err.value.key == "alphas"
 
 
+@pytest.mark.parametrize("entry", ["abc", "null", "true"])
+def test_alphas_entries_must_be_numbers(entry):
+    # `true` would otherwise read as alpha = 1, `abc` and `null` as a crash
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"container: disk\nalphas: [0.1, {entry}]\n")
+    assert err.value.key == "alphas"
+
+
 def test_ps_accept_inf_token():
     cfg = parse_config("container: disk\nps: [1, 4, inf]\n")
     assert cfg.ps == [1.0, 4.0, math.inf]

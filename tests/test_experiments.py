@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convexfit import experiments, multistart
 from convexfit.experiments import (
     PolygonalityThresholds,
     StudyConfig,
@@ -16,6 +17,7 @@ from convexfit.experiments import (
     shape_gallery,
 )
 from convexfit.geometry import Disk, Scaled, named_container, support_samples
+from convexfit.solver import NlpProblem
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -89,6 +91,24 @@ class TestEquivalenceProbe:
         cfg = small_cfg(DISK, "disk", alphas=(1.0,), ps=(2.0,), n=32, seeds=1)
         report = equivalence_probe(cfg)
         assert report["recovered_area"] == pytest.approx(np.pi, rel=1e-6)
+
+    def test_infeasible_area_stage_is_named(self, monkeypatch):
+        # x <= 0 and -x <= -1 in place of the area program; stage 1 keeps nodal's binding
+        rows = NlpProblem(
+            dim=1,
+            objective=lambda x: (float(x @ x), 2.0 * x),
+            ineq_matrix=np.array([[1.0], [-1.0]]),
+            ineq_rhs=np.array([0.0, -1.0]),
+        )
+
+        def stage2(nlp, starts, params, energy_fn):
+            return multistart.run_multistart(rows, [np.zeros(1)], params, energy_fn)
+
+        monkeypatch.setattr(experiments, "run_multistart", stage2)
+        cfg = small_cfg(DISK, "disk", alphas=(0.5,), ps=(4.0,), n=16, seeds=0)
+        with pytest.raises(multistart.InfeasibleError) as err:
+            equivalence_probe(cfg)
+        assert str(err.value).startswith("area-minimization stage: no feasible point found by any start")
 
 
 class TestPolygonality:

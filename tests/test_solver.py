@@ -8,7 +8,7 @@ import pytest
 from convexfit import fourier, nodal
 from convexfit.fourier import FourierProblem, solve_fourier
 from convexfit.geometry import named_container
-from convexfit.multistart import best_status, run_multistart
+from convexfit.multistart import InfeasibleError, run_multistart
 from convexfit.nodal import NodalProblem, solve_nodal
 from convexfit.solver import (
     NlpProblem,
@@ -73,10 +73,23 @@ def test_multistart_without_inequality_rows():
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
     prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
-    best, failures, _ = run_multistart(prob, [np.zeros(2)], SolverParams(), lambda x: float(x @ x))
-    assert not failures
-    np.testing.assert_allclose(best[3], [0.5, 0.5], atol=1e-8)
-    assert best_status(best) == ("converged", "")
+    best = run_multistart(prob, [np.zeros(2)], SolverParams(), lambda x: float(x @ x))
+    assert best.message == ""  # no aborts, and nothing left uncertified
+    np.testing.assert_allclose(best.x, [0.5, 0.5], atol=1e-8)
+    assert (best.status, best.kept_raw, best.start) == ("converged", False, 0)
+
+
+def test_multistart_raises_when_nothing_is_feasible():
+    # x <= 0 and -x <= -1: no point is feasible
+    prob = NlpProblem(
+        dim=1,
+        objective=lambda x: (float(x @ x), 2.0 * x),
+        ineq_matrix=np.array([[1.0], [-1.0]]),
+        ineq_rhs=np.array([0.0, -1.0]),
+    )
+    with pytest.raises(InfeasibleError) as err:
+        run_multistart(prob, [np.zeros(1), np.ones(1)], None, lambda x: float(x @ x))
+    assert str(err.value).startswith("no feasible point found by any start (best violation")
 
 
 def test_kkt_flags_interior_point():
