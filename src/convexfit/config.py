@@ -114,7 +114,7 @@ def _parse_container(doc, key="container"):
         raise ConfigError(f"unknown keys {sorted(extra)}", key)
     try:
         if kind == "disk":
-            spec = Disk(tuple(doc.get("center", (0.0, 0.0))), float(doc.get("radius", 1.0)))
+            spec = Disk(doc.get("center", (0.0, 0.0)), float(doc.get("radius", 1.0)))
         elif kind == "polygon":
             spec = Polygon(np.asarray(doc["vertices"], dtype=float))
         elif kind == "stadium":
@@ -135,7 +135,7 @@ def _parse_container(doc, key="container"):
             spec = Scaled(base, float(doc["factor"]))
         else:
             base, _ = _parse_container(doc["base"], key + ".base")
-            spec = Translated(base, tuple(doc["offset"]))
+            spec = Translated(base, doc["offset"])
     except ConfigError:
         raise
     except (GeometryError, KeyError, TypeError, ValueError) as exc:
@@ -249,6 +249,7 @@ def parse_config(text):
                 isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number", f"solver.{k}"
             )
             _require(k not in SOLVER_BUDGETS or isinstance(v, int), "must be an integer", f"solver.{k}")
+            _require(math.isfinite(v), "must be finite", f"solver.{k}")
             _require(v > 0, "must be positive", f"solver.{k}")
         solver = {k: solver[k] for k in sorted(solver)}
 

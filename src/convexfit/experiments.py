@@ -21,6 +21,7 @@ from .geometry import (
     TWO_PI,
     container_scale,
     convexity_residuals,
+    grid_constants,
     hausdorff_from_supports,
     powered_gap,
     support_samples,
@@ -263,8 +264,7 @@ def equivalence_probe(cfg):
 
     n = prob.n
     area_scale = max(prob.container_area_discrete, 1e-300)
-    kappa = (np.pi / n) / (2.0 - 2.0 * np.cos(TWO_PI / n))
-    area_hess = np.full(n, 8.0 * kappa / area_scale)
+    area_hess = np.full(n, 8.0 * grid_constants(n)[1] / area_scale)
 
     def area_objective(x):
         area, grad = nodal_area(x)

@@ -10,6 +10,8 @@ theta_j = 2*pi*j/N, j = 0..N-1 (indices wrap modulo N).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,22 @@ class ContainerSpec:
         raise NotImplementedError
 
 
+def _finite(value, what):
+    if not math.isfinite(value):
+        raise GeometryError(f"{what} must be finite, got {value!r}")
+
+
+def _finite_pair(value, what):
+    """`value` as a tuple of two finite floats; GeometryError otherwise."""
+    try:
+        pair = tuple(float(c) for c in value)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"{what} must be a pair of numbers, got {value!r}") from exc
+    if len(pair) != 2 or not all(math.isfinite(c) for c in pair):
+        raise GeometryError(f"{what} must be a finite (x, y) pair, got {value!r}")
+    return pair
+
+
 def _cross2(a, b):
     """z-component of the planar cross product (works on stacked vectors)."""
     a = np.asarray(a, dtype=float)
@@ -58,6 +76,8 @@ def _hull_ccw(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("polygon vertices must be an (n, 2) array")
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("polygon vertices must be finite")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     keep = np.ones(len(pts), dtype=bool)
@@ -106,7 +126,8 @@ class Disk(ContainerSpec):
     def __post_init__(self):
         if not self.radius > 0:
             raise GeometryError("disk radius must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        _finite(self.radius, "disk radius")
+        object.__setattr__(self, "center", _finite_pair(self.center, "disk center"))
 
     def support(self, theta):
         u = unit_vector(theta)
@@ -126,6 +147,8 @@ class Stadium(ContainerSpec):
             raise GeometryError("stadium half-length must be >= 0")
         if not self.radius > 0:
             raise GeometryError("stadium radius must be positive")
+        for name in ("half_length", "radius", "axis"):
+            _finite(getattr(self, name), f"stadium {name}")
 
     def support(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -149,6 +172,7 @@ class Scaled(ContainerSpec):
     def __post_init__(self):
         if not self.factor > 0:
             raise GeometryError("scale factor must be positive")
+        _finite(self.factor, "scale factor")
 
     def support(self, theta):
         return self.factor * self.base.support(theta)
@@ -160,7 +184,7 @@ class Translated(ContainerSpec):
     offset: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", (float(self.offset[0]), float(self.offset[1])))
+        object.__setattr__(self, "offset", _finite_pair(self.offset, "translation offset"))
 
     def support(self, theta):
         u = unit_vector(theta)
@@ -219,6 +243,14 @@ def support_samples(spec, n):
     return SupportSamples(support_eval(spec, theta), convex_checked=True)
 
 
+@functools.lru_cache(maxsize=64)
+def grid_constants(n):
+    """(2 cos(2*pi/N), (pi/N) / (2 - 2 cos(2*pi/N))) of the N-point grid: the
+    centre weight of the convexity stencil and the nodal area's factor."""
+    cos = np.cos(TWO_PI / n)
+    return 2.0 * cos, (np.pi / n) / (2.0 - 2.0 * cos)
+
+
 def convexity_residuals(h):
     """Discrete curvature residuals c_j = h_{j+1} + h_{j-1} - 2 h_j cos(2*pi/N).
 
@@ -230,7 +262,7 @@ def convexity_residuals(h):
     np.add(v[2:], v[:-2], out=c[1:-1])
     c[0] = v[1] + v[-1]
     c[-1] = v[0] + v[-2]
-    c -= 2.0 * np.cos(TWO_PI / v.size) * v
+    c -= grid_constants(v.size)[0] * v
     return c
 
 

@@ -28,6 +28,7 @@ from .geometry import (
     _clip_halfplane,
     container_scale,
     convexity_residuals,
+    grid_constants,
     interior_point,
     powered_gap,
     support_samples,
@@ -79,8 +80,7 @@ def nodal_area(h):
     Exact for constants: h == r gives pi r^2 on every grid.
     """
     v = _values(h)
-    n = v.size
-    kappa = (np.pi / n) / (2.0 - 2.0 * np.cos(TWO_PI / n))
+    kappa = grid_constants(v.size)[1]
     c = convexity_residuals(v)
     return float(kappa * np.sum(v * c)), 2.0 * kappa * c
 
@@ -249,41 +249,52 @@ def _h0_builder(nlp, n, obj_hess_diag):
     The active normal matrix rho A_act^T A_act is diagonal (inclusion and
     gap rows) plus C^T D C for the convexity stencil, i.e. pentadiagonal
     with circular wrap; a slack column (dimension N + 1) borders it, and
-    the equality gradient adds a rank-one term.  Rows beyond the first 2N
-    are gap rows.  The bands go into a dense (dim x dim) matrix that
-    np.linalg.solve factors at every apply: O(N^3), about half of an N = 512
-    solve.
+    the equality gradient the solver hands over adds a rank-one term.  Rows
+    beyond the first 2N are gap rows.  The flat positions of the band, gap
+    and slack entries are fixed per problem.  At every step one np.bincount
+    sums the weights that share a position (gap rows meet the diagonal, and
+    the wrapped bands overlap at N = 3 and 4) in the order they are listed,
+    and the sums go onto rho eg eg^T.  The matrix is dense (dim x dim) and
+    np.linalg.solve factors it at every apply: O(N^3), about half of an
+    N = 512 solve.
     """
     cos = np.cos(TWO_PI / n)
     dim = nlp.dim
     has_gap, has_slack = nlp.n_ineq > 2 * n, dim > n
     idx = np.arange(n)
-    up1, up2 = (idx + 1) % n, (idx + 2) % n
+    up1, up2, down1 = (idx + 1) % n, (idx + 2) % n, (idx - 1) % n
+    # entries in summation order: diagonal, band 1 above and below, band 2
+    # above and below, then the gap diagonal and the slack border
+    rows = [idx, idx, up1, idx, up2]
+    cols = [idx, up1, idx, up2, idx]
+    if has_gap:
+        rows.append(idx)
+        cols.append(idx)
+        if has_slack:
+            rows += [idx, np.full(n, n), [n]]
+            cols += [np.full(n, n), idx, [n]]
+    flat = np.concatenate(rows) * dim + np.concatenate(cols)
+    positions, bins = np.unique(flat, return_inverse=True)
+    diagonal = slice(None, None, dim + 1)  # of H.flat
 
-    def builder(x, act, rho):
+    def builder(x, act, rho, eq_grad):
         d_inc = act[:n].astype(float)
         d_cvx = act[n : 2 * n].astype(float)
-        H = np.zeros((dim, dim))
         diag = np.asarray(obj_hess_diag(x))[:n] + rho * d_inc
-        diag += rho * (np.roll(d_cvx, 1) + 4.0 * cos**2 * d_cvx + np.roll(d_cvx, -1))
-        H[idx, idx] = diag
-        band1 = -2.0 * cos * rho * (d_cvx + np.roll(d_cvx, -1))
-        H[idx, up1] += band1
-        H[up1, idx] += band1
-        band2 = rho * np.roll(d_cvx, -1)
-        H[idx, up2] += band2
-        H[up2, idx] += band2
+        diag += rho * (d_cvx[down1] + 4.0 * cos**2 * d_cvx + d_cvx[up1])
+        band1 = -2.0 * cos * rho * (d_cvx + d_cvx[up1])
+        band2 = rho * d_cvx[up1]
+        weights = [diag, band1, band1, band2, band2]
         if has_gap:
             d_gap = act[2 * n :].astype(float)
-            H[idx, idx] += rho * d_gap
+            w_gap = rho * d_gap
+            weights.append(w_gap)
             if has_slack:
-                H[idx, -1] += rho * d_gap
-                H[-1, idx] += rho * d_gap
-                H[-1, -1] += rho * float(np.sum(d_gap))
-        if nlp.equality is not None:
-            eg = nlp.equality(x)[1]
-            H += rho * np.outer(eg, eg)
-        H[np.arange(dim), np.arange(dim)] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
+                weights += [w_gap, w_gap, [rho * float(np.sum(d_gap))]]
+        sums = np.bincount(bins, weights=np.concatenate(weights), minlength=positions.size)
+        H = rho * np.outer(eq_grad, eq_grad) if eq_grad is not None else np.zeros((dim, dim))
+        H.flat[positions] += sums
+        H.flat[diagonal] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
 
         def apply(q):
             return np.linalg.solve(H, q)

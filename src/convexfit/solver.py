@@ -8,11 +8,11 @@ quadratic penalty.  Subproblems are minimized by backtracking Armijo
 descent.  When the problem supplies a curvature seed (`h0_builder`), every
 step is a damped Newton step on the active-set Gauss-Newton model of the
 augmented Lagrangian; the solver hands the seed the current point, the
-active rows (lam + rho (A x - b) >= 0, from the residual it already holds)
-and the penalty rho.  Both shape discretizations supply a seed: it is what
-makes their nearly-degenerate convexity constraints tractable, where plain
-L-BFGS crawls in the flat valleys.  L-BFGS serves only problems without a
-seed.
+active rows (lam + rho (A x - b) >= 0, from the residual it already holds),
+the penalty rho and the equality gradient it already holds at the point.
+Both shape discretizations supply a seed: it is what makes their
+nearly-degenerate convexity constraints tractable, where plain L-BFGS
+crawls in the flat valleys.  L-BFGS serves only problems without a seed.
 
 The line search evaluates its trials along a ray.  At every accepted point
 x the constraint residual r = A x - b is computed once, exactly, and A d
@@ -26,7 +26,9 @@ multiplies, thus enters a search once, as one offset shared by all its
 trials, instead of afresh in every trial.  Near the rounding floor a search
 therefore accepts early or fails and ends the inner loop; with a fresh
 matvec per trial it kept backtracking, 20 to 40 trials, until one trial's
-rounding read as a decrease.
+rounding read as a decrease.  A search that accepts a step too small to
+move x (x + s d rounds back to x) ends the inner loop too: every later
+search would repeat it.
 
 The solver draws no random numbers: identical inputs give bitwise
 identical iteration histories.
@@ -52,10 +54,12 @@ class NlpProblem:
     All callables must be deterministic and return finite values near the
     feasible set.
 
-    `h0_builder(x, active, rho) -> (q -> d)` may supply an approximate
-    inverse Hessian of the augmented Lagrangian, rebuilt at every inner
-    iterate; `active` is the boolean mask of the inequality rows in the
-    hinge, lam + rho (A x - b) >= 0.  Problems with structured constraints
+    `h0_builder(x, active, rho, eq_grad) -> (q -> d)` may supply an
+    approximate inverse Hessian of the augmented Lagrangian, rebuilt at
+    every inner iterate; `active` is the boolean mask of the inequality rows
+    in the hinge, lam + rho (A x - b) >= 0, and `eq_grad` is the gradient
+    of `equality` at x (None without an equality), so that the builder need
+    not evaluate the equality again.  Problems with structured constraints
     should provide it.
     """
 
@@ -105,8 +109,10 @@ class SolverParams:
     max_inner: int = 150
 
     def __post_init__(self):
-        if not (self.rho0 > 0 and self.outer_tol > 0):
-            raise ValueError("need rho0 > 0 and outer_tol > 0")
+        for name in ("rho0", "outer_tol", "feas_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("max_outer", "max_inner"):
             budget = getattr(self, name)
             if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
@@ -255,6 +261,18 @@ def _inner_minimize(al, x0, tol, params):
     exact residual r of the current point, and the accepted trial keeps its
     ray value (see the module docstring).
 
+    The loop returns at the first accepted step whose point equals x (a
+    null step: |s d| below half an ulp of x in every entry), counting it as
+    an iteration.  Nothing after it could move x.  The point is the same,
+    so r, the parts, the gradient, the active rows, the seed and d repeat,
+    and so does every trial value; f can only have fallen.  A trial
+    rejected before stays rejected, and since rounding is monotone, every
+    step at or below the accepted one rounds back to x as well.  The search
+    would accept a null step again or fail and stop.  On the L-BFGS path
+    the null pair (s, y) = (0, 0) is never stored, so the direction repeats
+    too; there a failed search with memory would have restarted from
+    steepest descent, which the exit gives up.
+
     Returns (x, iterations, AL evaluations, rejected trials).
     """
     h0_builder = al.problem.h0_builder
@@ -268,7 +286,7 @@ def _inner_minimize(al, x0, tol, params):
     iters, evals, backtracks = 0, 1, 0
     while iters < params.max_inner and np.linalg.norm(g, np.inf) > tol:
         if h0_builder is not None:
-            d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho)(g)
+            d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho, parts[3])(g)
         else:
             d = _lbfgs_direction(g, s_list, y_list)
         slope = float(g @ d)
@@ -281,11 +299,11 @@ def _inner_minimize(al, x0, tol, params):
         accepted = None
         for _ in range(MAX_BACKTRACKS):
             x_try = x + step * d
-            parts = al.parts(x_try)
-            f_try = al.value(parts, r + step * ad)
+            trial = al.parts(x_try)
+            f_try = al.value(trial, r + step * ad)
             evals += 1
             if np.isfinite(f_try) and f_try <= f + ARMIJO * step * slope:
-                accepted = (x_try, parts, f_try)
+                accepted = (x_try, trial, f_try)
                 break
             backtracks += 1
             step *= BACKTRACK
@@ -295,6 +313,9 @@ def _inner_minimize(al, x0, tol, params):
                 continue
             break  # no decrease even along steepest descent: stop
         x_new, parts, f_new = accepted
+        if np.array_equal(x_new, x):
+            iters += 1
+            break  # a null step: every later search would repeat it
         r = al.residual(x_new)
         g_new = al.gradient(parts, r)
         if h0_builder is None:
@@ -322,7 +343,7 @@ def dense_h0_builder(problem, obj_hessian):
     A = problem.ineq_matrix
     diagonal = slice(None, None, problem.dim + 1)  # of H.flat
 
-    def builder(x, active, rho):
+    def builder(x, active, rho, eq_grad):
         Am = A[active]
         H = rho * (Am.T @ Am)
         Hf = obj_hessian(x)
@@ -330,9 +351,8 @@ def dense_h0_builder(problem, obj_hessian):
             H.flat[diagonal] += Hf
         else:
             H += Hf
-        if problem.equality is not None:
-            eg = problem.equality(x)[1]
-            H += rho * np.outer(eg, eg)
+        if eq_grad is not None:
+            H += rho * np.outer(eq_grad, eq_grad)
         H.flat[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
 
         def apply(q):

@@ -36,6 +36,31 @@ def test_bad_alphas_entry_exit_code(tmp_path, capsys):
     assert "alphas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "container",
+    [
+        "{type: disk, center: [0, .nan]}",
+        "{type: disk, radius: .inf}",
+        "{type: scaled, factor: .inf, base: disk}",
+        "{type: translated, offset: [0, .inf], base: disk}",
+        "{type: translated, offset: [1], base: disk}",
+        "{type: stadium, half_length: .inf}",
+        "{type: stadium, angle: .nan}",
+        "{type: polygon, vertices: [[0, 0], [1, 0], [0, .inf]]}",
+    ],
+)
+def test_non_finite_container_exit_code(tmp_path, capsys, container):
+    cfg = write(tmp_path, "bad.yaml", f"container: {container}\n")
+    assert main(["validate", cfg]) == 2
+    assert "container" in capsys.readouterr().err
+
+
+def test_infinite_solver_tolerance_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.yaml", "container: disk\nsolver: {feas_tol: .inf}\n")
+    assert main(["validate", cfg]) == 2
+    assert "solver.feas_tol" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["solve", "/nonexistent/cfg.yaml"]) == 2
 

@@ -98,6 +98,15 @@ def test_solver_budgets_must_be_positive_integers(key, value):
     assert err.value.key == f"solver.{key}"
 
 
+@pytest.mark.parametrize("key", ["rho0", "outer_tol", "feas_tol"])
+@pytest.mark.parametrize("value", [".inf", ".nan", "-.inf"])
+def test_solver_tolerances_must_be_finite(key, value):
+    # feas_tol: .inf used to certify an infeasible shape as converged
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"container: disk\nsolver: {{{key}: {value}}}\n")
+    assert err.value.key == f"solver.{key}"
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ConfigError) as err:
         parse_config("container: [unclosed\n")

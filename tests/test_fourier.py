@@ -184,7 +184,7 @@ class TestNewtonSeed:
         H = (B.T * d) @ B + rho * A.T @ A + rho * np.outer(eg, eg)
         H += 1e-8 * max(1.0, float(np.max(np.abs(H)))) * np.eye(nlp.dim)
         q = rng.standard_normal(nlp.dim)
-        step = nlp.h0_builder(x, act, rho)(q)
+        step = nlp.h0_builder(x, act, rho, eg)(q)
         assert np.linalg.norm(H @ step - q) <= 1e-8 * np.linalg.norm(q)
 
 

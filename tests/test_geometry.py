@@ -64,6 +64,32 @@ class TestSupportEval:
             Polygon([(0, 0), (1, 1), (2, 2)])  # collinear
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Disk((0.0, np.nan), 1.0),
+        lambda: Disk((0.0, 0.0), np.inf),
+        lambda: Disk((0.0,), 1.0),
+        lambda: Stadium(np.inf, 1.0, 0.0),
+        lambda: Stadium(1.0, np.inf, 0.0),
+        lambda: Stadium(1.0, 1.0, np.nan),
+        lambda: Scaled(DISK, np.inf),
+        lambda: Translated(DISK, (0.0, np.inf)),
+        lambda: Translated(DISK, (1.0,)),
+        lambda: Translated(DISK, (1.0, 2.0, 3.0)),
+        lambda: Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, np.inf)]),
+    ],
+    ids=[
+        "disk-center-nan", "disk-radius-inf", "disk-center-short", "stadium-half-length-inf",
+        "stadium-radius-inf", "stadium-axis-nan", "scaled-factor-inf", "translated-offset-inf",
+        "translated-offset-short", "translated-offset-long", "polygon-vertex-inf",
+    ],
+)
+def test_container_parameters_must_be_finite_pairs(make):
+    with pytest.raises(GeometryError):
+        make()
+
+
 class TestSupportSamples:
     def test_unit_disk_constant(self):
         np.testing.assert_allclose(support_samples(DISK, 8).values, 1.0)

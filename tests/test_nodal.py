@@ -28,6 +28,7 @@ from convexfit.nodal import (
     nodal_constraints,
     nodal_objective,
     solve_nodal,
+    _area_equality,
     _epigraph_nlp,
     _nodal_nlp,
     _powered_nlp,
@@ -184,63 +185,126 @@ class TestSolve:
         assert res.energy == energy_of(res.samples, prob)
 
 
+def band_by_band_seed(nlp, n, hess, eg, act, rho):
+    """The nodal seed filled band by band into a zero matrix: the reference
+    whose every entry the builder must reproduce bit for bit."""
+    cos = np.cos(2.0 * np.pi / n)
+    idx = np.arange(n)
+    up1, up2 = (idx + 1) % n, (idx + 2) % n
+    d_inc, d_cvx = act[:n].astype(float), act[n : 2 * n].astype(float)
+    H = np.zeros((nlp.dim, nlp.dim))
+    diag = hess + rho * d_inc
+    diag += rho * (np.roll(d_cvx, 1) + 4.0 * cos**2 * d_cvx + np.roll(d_cvx, -1))
+    H[idx, idx] = diag
+    band1 = -2.0 * cos * rho * (d_cvx + np.roll(d_cvx, -1))
+    H[idx, up1] += band1
+    H[up1, idx] += band1
+    band2 = rho * np.roll(d_cvx, -1)
+    H[idx, up2] += band2
+    H[up2, idx] += band2
+    if nlp.n_ineq > 2 * n:
+        d_gap = act[2 * n :].astype(float)
+        H[idx, idx] += rho * d_gap
+        if nlp.dim > n:
+            H[idx, -1] += rho * d_gap
+            H[-1, idx] += rho * d_gap
+            H[-1, -1] += rho * float(np.sum(d_gap))
+    if eg is not None:
+        H += rho * np.outer(eg, eg)
+    H[np.arange(nlp.dim), np.arange(nlp.dim)] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
+    return H
+
+
+# (seed, N); N = 24 keeps the plain seed as its id
+SEED_CASES = [
+    pytest.param(seed, n, id=f"{seed}" if n == 24 else f"{seed}-n{n}") for n in (24, 3, 4, 5) for seed in (0, 1)
+]
+
+
 class TestNewtonSeed:
     """The banded seed inverts diag(hess) + rho A_act^T A_act + rho e_g e_g^T,
-    assembled densely here from the problem's own rows."""
+    assembled densely here from the problem's own rows.  At N = 3 and 4 the
+    wrapped bands of the convexity stencil overlap."""
 
-    N = 24
-
-    def assert_inverts(self, nlp, hess, x, seed, rho=10.0):
+    def assert_inverts(self, nlp, hess, x, seed, n, rho=10.0):
         rng = np.random.default_rng(seed)
         A, b = nlp.ineq_matrix, nlp.ineq_rhs
         # a random half of the rows active, with every inclusion row among
         # them so that H_ref is nonsingular without the seed's 1e-8 shift
         lam = rng.uniform(-1.0, 1.0, nlp.n_ineq)
-        lam[: self.N] = 1.0
+        lam[:n] = 1.0
         lam -= rho * (A @ x - b)
         act = (lam + rho * (A @ x - b)) >= 0.0
         H = np.diag(hess) + rho * A[act].T @ A[act]
+        eg = None
         if nlp.equality is not None:
             eg = nlp.equality(x)[1]
             H += rho * np.outer(eg, eg)
         q = rng.standard_normal(nlp.dim)
-        d = nlp.h0_builder(x, act, rho)(q)
+        d = nlp.h0_builder(x, act, rho, eg)(q)
         assert np.linalg.norm(H @ d - q) <= 1e-6 * np.linalg.norm(q)
 
     def shape(self, prob, seed):
-        noise = np.random.default_rng(seed).standard_normal(self.N)
+        noise = np.random.default_rng(seed).standard_normal(prob.n)
         return 0.8 * prob.container_values + 0.01 * noise
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_finite_p(self, seed):
-        prob = NodalProblem(SQUARE, n=self.N, p=4.0, alpha=0.4)
+    @pytest.mark.parametrize("seed,n", SEED_CASES)
+    def test_finite_p(self, seed, n):
+        prob = NodalProblem(SQUARE, n=n, p=4.0, alpha=0.4)
         nlp = _powered_nlp(prob, unit_vector(prob.angles) @ interior_point(SQUARE))
         x = self.shape(prob, seed)
         step = 1e-6  # the powered gap's Hessian is diagonal
         hess = (nlp.objective(x + step)[1] - nlp.objective(x - step)[1]) / (2 * step)
-        assert nlp.dim == self.N
-        self.assert_inverts(nlp, hess, x, seed)
+        assert nlp.dim == n
+        self.assert_inverts(nlp, hess, x, seed, n)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_epigraph(self, seed):
-        prob = NodalProblem(SQUARE, n=self.N, p=math.inf, alpha=0.4)
+    @pytest.mark.parametrize("seed,n", SEED_CASES)
+    def test_epigraph(self, seed, n):
+        prob = NodalProblem(SQUARE, n=n, p=math.inf, alpha=0.4)
         nlp = _epigraph_nlp(prob)
         v = self.shape(prob, seed)
         x = np.append(v, np.max(prob.container_values - v))
-        assert (nlp.dim, nlp.n_ineq) == (self.N + 1, 3 * self.N)
-        self.assert_inverts(nlp, np.zeros(self.N + 1), x, seed)
+        assert (nlp.dim, nlp.n_ineq) == (n + 1, 3 * n)
+        self.assert_inverts(nlp, np.zeros(n + 1), x, seed, n)
+
+    @pytest.mark.parametrize("program", ["powered", "epigraph", "box"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 24])
+    def test_matches_band_by_band_reference(self, monkeypatch, program, n):
+        prob = NodalProblem(SQUARE, n=n, p=4.0, alpha=0.4)
+        rng = np.random.default_rng(n)
+        if program == "powered":
+            hess = rng.uniform(0.1, 2.0, n)
+            nlp = _nodal_nlp(prob, None, lambda x: hess, _area_equality(prob))
+        elif program == "epigraph":
+            hess = np.zeros(n)
+            nlp = _epigraph_nlp(prob)
+        else:
+            hess = rng.uniform(0.1, 2.0, n)
+            nlp = _nodal_nlp(
+                prob, None, lambda x: hess, None,
+                gap_rows=-np.eye(n), gap_rhs=0.2 - prob.container_values,
+            )
+        x = rng.uniform(0.5, 1.0, nlp.dim)
+        act = rng.uniform(size=nlp.n_ineq) < 0.5
+        rho = 37.5
+        eg = nlp.equality(x)[1] if nlp.equality is not None else None
+        seen = []
+        monkeypatch.setattr(np.linalg, "solve", lambda H, q: seen.append(H.copy()))
+        nlp.h0_builder(x, act, rho, eg)(np.zeros(nlp.dim))
+        assert np.array_equal(seen[0], band_by_band_seed(nlp, n, hess, eg, act, rho))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_box_rows_without_equality(self, seed):
         # the equivalence probe's p = inf stage: h_j >= h_C - t, no equality
-        prob = NodalProblem(SQUARE, n=self.N, p=math.inf, alpha=0.4)
-        hess = np.full(self.N, 0.3)
+        n = 24
+        prob = NodalProblem(SQUARE, n=n, p=math.inf, alpha=0.4)
+        hess = np.full(n, 0.3)
         nlp = _nodal_nlp(
             prob, None, lambda x: hess, None,
-            gap_rows=-np.eye(self.N), gap_rhs=0.2 - prob.container_values,
+            gap_rows=-np.eye(n), gap_rhs=0.2 - prob.container_values,
         )
-        assert (nlp.dim, nlp.n_ineq) == (self.N, 3 * self.N)
-        self.assert_inverts(nlp, hess, self.shape(prob, seed), seed)
+        assert (nlp.dim, nlp.n_ineq) == (n, 3 * n)
+        self.assert_inverts(nlp, hess, self.shape(prob, seed), seed, n)
 
 
 class TestMinimax:

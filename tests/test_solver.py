@@ -1,11 +1,12 @@
 """Augmented-Lagrangian solver: KKT behavior, determinism, QP cross-checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from convexfit import fourier, nodal
+from convexfit import experiments, fourier, nodal
 from convexfit.fourier import FourierProblem, solve_fourier
 from convexfit.geometry import named_container
 from convexfit.multistart import InfeasibleError, run_multistart
@@ -201,6 +202,14 @@ def test_nonfinite_objective_aborts():
         solve_nlp(NlpProblem(dim=1, objective=bad), np.zeros(1))
 
 
+@pytest.mark.parametrize("name", ["rho0", "outer_tol", "feas_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    # feas_tol = inf used to certify infeasible shapes as converged
+    with pytest.raises(ValueError, match=name):
+        SolverParams(**{name: value})
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(rho0=-1.0)
@@ -270,6 +279,37 @@ def test_nodal_line_search_does_not_spin_at_the_noise_floor():
     assert all(rec.al_evals >= rec.inner_iters + 1 for rec in res.history)
     assert all(rec.backtracks < rec.al_evals for rec in res.history)
     assert res.energy == pytest.approx(0.5942618908718743, abs=1e-9)
+
+
+def test_inner_loop_stops_at_its_first_null_step():
+    # the seed's step is far below one ulp of x, so x + s d rounds back to x;
+    # every later search would repeat it, up to max_inner
+    prob = NlpProblem(dim=2, objective=quadratic([5.0, -3.0]))
+    prob.h0_builder = lambda x, active, rho, eq_grad: (lambda q: 1e-30 * q)
+    x0 = np.array([1.0, 2.0])
+    res = solve_nlp(prob, x0, SolverParams(max_outer=1))
+    (record,) = res.history
+    assert (record.inner_iters, record.al_evals, record.backtracks) == (1, 2, 0)
+    assert np.array_equal(res.x, x0)
+
+
+def test_toy_sweep_inner_loops_end_at_null_steps(monkeypatch):
+    # the gamma sweep's warm solves used to repeat null steps until max_inner
+    solved = []
+
+    def record(*args, **kwargs):
+        solved.append(solve_nodal(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(experiments, "solve_nodal", record)
+    cfg = experiments.StudyConfig(
+        named_container("disk"), "disk", alphas=(0.25,), ps=(1.0, 2.0, 8.0, 32.0), n=32, seeds=0
+    )
+    experiments.gamma_sweep(cfg)
+    history = [rec for res in solved for rec in res.history]
+    assert len(solved) == 5
+    assert sum(rec.al_evals for rec in history) <= 4.0 * sum(rec.inner_iters for rec in history)
+    assert all(rec.inner_iters < SolverParams().max_inner for rec in history)
 
 
 def test_exit_reason_reaches_the_message():
