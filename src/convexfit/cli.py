@@ -27,7 +27,6 @@ from .experiments import (
     equivalence_probe,
     f_curve,
     gamma_sweep,
-    polygonality_report,
     shape_gallery,
 )
 from .fourier import FourierProblem, FourierShape, solve_fourier
@@ -45,14 +44,9 @@ def _load_config(path, args):
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    cfg = parse_config(text)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    elif "output_dir" in cfg.defaults_applied and os.environ.get(OUTPUT_DIR_ENV):
+    flags = {"base_seed": args.seed, "threads": args.threads, "output_dir": args.output_dir}
+    cfg = parse_config(text, {key: value for key, value in flags.items() if value is not None})
+    if "output_dir" in cfg.defaults_applied and os.environ.get(OUTPUT_DIR_ENV):
         cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
     return cfg
 
@@ -75,7 +69,6 @@ def _study_config(cfg, alphas=None, ps=None):
 
 
 def _out(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
 
 
@@ -188,12 +181,25 @@ def _cmd_validate(cfg):
     return 0
 
 
-def _cmd_export_svg(cfg, shape_paths):
+def _cmd_export_svg(cfg, *shape_paths):
     shapes = [load_shape_csv(path) for path in shape_paths]
     path = _out(cfg, "shapes.svg")
     export_svg(cfg.container, shapes, path)
     print(f"wrote {path}")
     return 0
+
+
+COMMANDS = {
+    "solve": _cmd_solve,
+    "sweep-p": _cmd_sweep_p,
+    "sweep-alpha": _cmd_sweep_alpha,
+    "compare-methods": _cmd_compare,
+    "f-curve": _cmd_f_curve,
+    "equivalence": _cmd_equivalence,
+    "oracle": _cmd_oracle,
+    "validate": _cmd_validate,
+    "export-svg": _cmd_export_svg,
+}
 
 
 def main(argv=None):
@@ -205,38 +211,15 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=None, help="override the oracle's thread count")
     parser.add_argument("--output-dir", default=None, help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "solve", "sweep-p", "sweep-alpha", "compare-methods",
-        "f-curve", "equivalence", "oracle", "validate",
-    ):
+    for name, handler in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="YAML configuration file")
-    svg = sub.add_parser("export-svg")
-    svg.add_argument("config", help="YAML configuration file")
-    svg.add_argument("shapes", nargs="*", help="shape CSV files to overlay")
+        cmd.set_defaults(handler=handler, shapes=[])
+    sub.choices["export-svg"].add_argument("shapes", nargs="*", help="shape CSV files to overlay")
 
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args)
-        if args.command == "solve":
-            return _cmd_solve(cfg)
-        if args.command == "sweep-p":
-            return _cmd_sweep_p(cfg)
-        if args.command == "sweep-alpha":
-            return _cmd_sweep_alpha(cfg)
-        if args.command == "compare-methods":
-            return _cmd_compare(cfg)
-        if args.command == "f-curve":
-            return _cmd_f_curve(cfg)
-        if args.command == "equivalence":
-            return _cmd_equivalence(cfg)
-        if args.command == "oracle":
-            return _cmd_oracle(cfg)
-        if args.command == "validate":
-            return _cmd_validate(cfg)
-        if args.command == "export-svg":
-            return _cmd_export_svg(cfg, args.shapes)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(_load_config(args.config, args), *args.shapes)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

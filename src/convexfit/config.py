@@ -169,8 +169,12 @@ def _require(cond, message, key):
         raise ConfigError(message, key)
 
 
-def parse_config(text):
-    """Parse and validate a YAML configuration document into a RunConfig."""
+def parse_config(text, overrides=None):
+    """Parse and validate a YAML configuration document into a RunConfig.
+
+    `overrides` (key -> value) replace the document's entries before
+    validation, so they pass the same checks and count as set, not defaulted.
+    """
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -179,6 +183,7 @@ def parse_config(text):
         raise ConfigError(f"YAML parse error{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
+    doc.update(overrides or {})
 
     allowed = {"schema_version", "container"} | set(DEFAULTS)
     unknown = set(doc) - allowed

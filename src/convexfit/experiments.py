@@ -4,7 +4,9 @@ the area/energy problem-equivalence probe, and boundary-polygonality metrics.
 
 Every study is deterministic given (config, base seed): per-cell seeds are
 derived as (base_seed, cell_index), cells run one after another, and output
-CSV/SVG bytes are identical across reruns.
+CSV/SVG bytes are identical across reruns.  A sweep, f-curve or gallery
+cell with no feasible start yields a NaN row with status
+`infeasible(<reason>)`, and the study goes on (`_cell`).
 """
 
 from __future__ import annotations
@@ -69,13 +71,48 @@ class StudyConfig:
         return [int(self.base_seed), int(index)]
 
     def out_path(self, name):
-        os.makedirs(self.output_dir, exist_ok=True)
         return os.path.join(self.output_dir, name)
 
 
 def _maybe_svg(cfg, samples, name):
-    if cfg.output_dir is not None:
+    if cfg.output_dir is not None and name is not None:
         exports.export_svg(cfg.container, [samples], cfg.out_path(name))
+
+
+def _maybe_csv(cfg, study, columns, rows):
+    """Write the study table `<study>_<container_name>.csv` when output is on."""
+    if cfg.output_dir is not None:
+        exports.export_study_csv(columns, rows, cfg.out_path(f"{study}_{cfg.container_name}.csv"))
+
+
+def _solve(cfg, index, p, alpha, svg, init=None):
+    """The nodal solve of one (p, alpha) cell with the cell's seed; writes
+    the figure named `svg` unless it is None."""
+    result = solve_nodal(
+        NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha),
+        init=init,
+        seeds=cfg.seeds,
+        base_seed=cfg.cell_seed(index),
+        params=cfg.params,
+    )
+    _maybe_svg(cfg, result.samples, svg)
+    return result
+
+
+def _cell(cfg, columns, index, p, alpha, svg, init=None, **known):
+    """One study cell: (result, row), or (None, row) when no start is feasible.
+
+    Each column's value comes from `known` (which always holds `p` and
+    `alpha`), else from the result's attribute of that name, else NaN.  A
+    failed cell's status is `infeasible(<reason>)`.
+    """
+    known = {"p": p, "alpha": alpha, **known}
+    try:
+        result = _solve(cfg, index, p, alpha, svg, init)
+    except InfeasibleError as exc:
+        result = None
+        known["status"] = f"infeasible({exc})"
+    return result, {c: known[c] if c in known else getattr(result, c, math.nan) for c in columns}
 
 
 GAMMA_COLUMNS = [
@@ -99,51 +136,24 @@ def gamma_sweep(cfg):
     its warm start.  Rows are emitted in ascending p.
     """
     alpha = cfg.alphas[0]
-    inf_prob = NodalProblem(cfg.container, n=cfg.n, p=math.inf, alpha=alpha)
-    r_inf = solve_nodal(inf_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params)
-    sigma_inf = r_inf.energy
-    _maybe_svg(cfg, r_inf.samples, f"gamma_{cfg.container_name}_pinf.svg")
-
+    r_inf = _solve(cfg, 0, math.inf, alpha, f"gamma_{cfg.container_name}_pinf.svg")
     rows = []
     chain = r_inf.samples
     for k, p in enumerate(sorted(cfg.ps, reverse=True)):
-        try:
-            res = solve_nodal(
-                NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha),
-                init=chain,
-                seeds=cfg.seeds,
-                base_seed=cfg.cell_seed(k + 1),
-                params=cfg.params,
-            )
+        res, row = _cell(
+            cfg, GAMMA_COLUMNS, k + 1, p, alpha, f"gamma_{cfg.container_name}_p{p:g}.svg",
+            init=chain, sigma_infinity=r_inf.energy,
+        )
+        if res is not None:
             chain = res.samples
-            rows.append(
-                {
-                    "p": p,
-                    "sigma_normalized": res.sigma_normalized,
-                    "sigma_infinity": sigma_inf,
-                    "hausdorff_to_minimax": hausdorff_from_supports(res.samples, r_inf.samples),
-                    "powered_value": res.powered_value,
-                    "energy": res.energy,
-                    "status": res.status,
-                }
-            )
-            _maybe_svg(cfg, res.samples, f"gamma_{cfg.container_name}_p{p:g}.svg")
-        except InfeasibleError as exc:
-            rows.append(
-                {
-                    "p": p,
-                    "sigma_normalized": float("nan"),
-                    "sigma_infinity": sigma_inf,
-                    "hausdorff_to_minimax": float("nan"),
-                    "powered_value": float("nan"),
-                    "energy": float("nan"),
-                    "status": f"infeasible({exc})",
-                }
-            )
+            row["hausdorff_to_minimax"] = hausdorff_from_supports(res.samples, r_inf.samples)
+        rows.append(row)
     rows.sort(key=lambda r: r["p"])
-    if cfg.output_dir is not None:
-        exports.export_study_csv(GAMMA_COLUMNS, rows, cfg.out_path(f"gamma_{cfg.container_name}.csv"))
+    _maybe_csv(cfg, "gamma", GAMMA_COLUMNS, rows)
     return rows, r_inf
+
+
+COMPARE_COLUMNS = ["p", "alpha", "energy_fourier", "energy_nodal_cold", "energy_nodal_warm"]
 
 
 def compare_methods(cfg):
@@ -160,60 +170,30 @@ def compare_methods(cfg):
     report = {"p": p, "alpha": alpha}
     m_aligned = cfg.m if cfg.m % cfg.n == 0 else (cfg.m // cfg.n + 1) * cfg.n
     nodal_prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-    try:
-        f_prob = FourierProblem(
-            cfg.container, n_f=cfg.n_f, m=m_aligned, q=cfg.q, p=p, alpha=alpha
-        )
-        r1 = solve_fourier(
-            f_prob,
-            seeds=cfg.seeds,
-            base_seed=cfg.cell_seed(0),
-            params=cfg.params,
-            n_samples=cfg.n,
-        )
-        report["fourier"] = r1
-        report["energy_fourier"] = energy_of(r1.samples, nodal_prob)
-        _maybe_svg(cfg, r1.samples, f"compare_{cfg.container_name}_fourier.svg")
-    except InfeasibleError as exc:
-        r1 = None
-        report["fourier_error"] = str(exc)
 
-    try:
-        cold = solve_nodal(nodal_prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(1), params=cfg.params)
-        report["nodal_cold"] = cold
-        report["energy_nodal_cold"] = cold.energy
-        _maybe_svg(cfg, cold.samples, f"compare_{cfg.container_name}_nodal_cold.svg")
-    except InfeasibleError as exc:
-        report["nodal_cold_error"] = str(exc)
-
-    if r1 is not None:
+    def branch(key, solve, prob, **kwargs):
+        """Solve into report[key] and report["energy_<key>"], writing the
+        branch's figure and history; report["<key>_error"] if infeasible."""
         try:
-            warm = solve_nodal(
-                nodal_prob,
-                init=r1.samples,
-                seeds=cfg.seeds,
-                base_seed=cfg.cell_seed(1),
-                params=cfg.params,
-            )
-            report["nodal_warm"] = warm
-            report["energy_nodal_warm"] = warm.energy
-            _maybe_svg(cfg, warm.samples, f"compare_{cfg.container_name}_nodal_warm.svg")
+            result = solve(prob, seeds=cfg.seeds, params=cfg.params, **kwargs)
         except InfeasibleError as exc:
-            report["nodal_warm_error"] = str(exc)
+            report[f"{key}_error"] = str(exc)
+            return None
+        report[key] = result
+        report[f"energy_{key}"] = energy_of(result.samples, nodal_prob)
+        _maybe_svg(cfg, result.samples, f"compare_{cfg.container_name}_{key}.svg")
+        if cfg.output_dir is not None:
+            exports.export_history_csv(
+                result.history, cfg.out_path(f"compare_{cfg.container_name}_{key}_history.csv")
+            )
+        return result
 
-    if cfg.output_dir is not None:
-        columns = ["p", "alpha", "energy_fourier", "energy_nodal_cold", "energy_nodal_warm"]
-        row = {c: report.get(c, float("nan")) for c in columns}
-        exports.export_study_csv(columns, [row], cfg.out_path(f"compare_{cfg.container_name}.csv"))
-        for key, name in (
-            ("fourier", "fourier"),
-            ("nodal_cold", "nodal_cold"),
-            ("nodal_warm", "nodal_warm"),
-        ):
-            if key in report:
-                exports.export_history_csv(
-                    report[key].history, cfg.out_path(f"compare_{cfg.container_name}_{name}_history.csv")
-                )
+    f_prob = FourierProblem(cfg.container, n_f=cfg.n_f, m=m_aligned, q=cfg.q, p=p, alpha=alpha)
+    fourier = branch("fourier", solve_fourier, f_prob, base_seed=cfg.cell_seed(0), n_samples=cfg.n)
+    branch("nodal_cold", solve_nodal, nodal_prob, base_seed=cfg.cell_seed(1))
+    if fourier is not None:
+        branch("nodal_warm", solve_nodal, nodal_prob, init=fourier.samples, base_seed=cfg.cell_seed(1))
+    _maybe_csv(cfg, "compare", COMPARE_COLUMNS, [{c: report.get(c, math.nan) for c in COMPARE_COLUMNS}])
     return report
 
 
@@ -225,28 +205,25 @@ def f_curve(cfg):
 
     Returns (rows, max_upward_violation): the theory says f decreases in
     alpha, so any increase between consecutive cells is solver noise.
-    Each cell warm-starts from its left neighbor.
+    Each cell warm-starts from the last solved cell to its left.
     """
     p = cfg.ps[0]
     rows = []
     chain = None
     for k, alpha in enumerate(cfg.alphas):
-        try:
-            prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-            res = solve_nodal(
-                prob, init=chain, seeds=cfg.seeds, base_seed=cfg.cell_seed(k), params=cfg.params
-            )
+        res, row = _cell(cfg, ("energy", "status"), k, p, alpha, None, init=chain)
+        if res is not None:
             chain = res.samples
-            rows.append({"alpha": alpha, "f_value": res.energy, "status": res.status})
-        except InfeasibleError as exc:
-            rows.append({"alpha": alpha, "f_value": float("nan"), "status": f"infeasible({exc})"})
+        rows.append({"alpha": alpha, "f_value": row["energy"], "status": row["status"]})
     values = [r["f_value"] for r in rows if np.isfinite(r["f_value"])]
     violation = max(
         (b - a for a, b in zip(values, values[1:])), default=0.0
     )
-    if cfg.output_dir is not None:
-        exports.export_study_csv(F_CURVE_COLUMNS, rows, cfg.out_path(f"fcurve_{cfg.container_name}.csv"))
+    _maybe_csv(cfg, "fcurve", F_CURVE_COLUMNS, rows)
     return rows, max(violation, 0.0)
+
+
+EQUIVALENCE_COLUMNS = ["p", "alpha", "f_value", "target_area", "recovered_area", "area_gap"]
 
 
 def equivalence_probe(cfg):
@@ -303,13 +280,7 @@ def equivalence_probe(cfg):
         "stage1": stage1,
         "stage2_samples": SupportSamples(winner.x),
     }
-    if cfg.output_dir is not None:
-        columns = ["p", "alpha", "f_value", "target_area", "recovered_area", "area_gap"]
-        exports.export_study_csv(
-            columns,
-            [{c: report[c] for c in columns}],
-            cfg.out_path(f"equivalence_{cfg.container_name}.csv"),
-        )
+    _maybe_csv(cfg, "equivalence", EQUIVALENCE_COLUMNS, [{c: report[c] for c in EQUIVALENCE_COLUMNS}])
     return report
 
 
@@ -395,32 +366,7 @@ def shape_gallery(cfg):
     rows = []
     for i, p in enumerate(cfg.ps):
         for j, alpha in enumerate(cfg.alphas):
-            idx = i * len(cfg.alphas) + j
-            prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-            try:
-                res = solve_nodal(prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(idx), params=cfg.params)
-                rows.append(
-                    {
-                        "p": p,
-                        "alpha": alpha,
-                        "energy": res.energy,
-                        "sigma_normalized": res.sigma_normalized,
-                        "area": res.area,
-                        "status": res.status,
-                    }
-                )
-                _maybe_svg(cfg, res.samples, f"gallery_{cfg.container_name}_p{p:g}_a{alpha:g}.svg")
-            except InfeasibleError as exc:
-                rows.append(
-                    {
-                        "p": p,
-                        "alpha": alpha,
-                        "energy": float("nan"),
-                        "sigma_normalized": float("nan"),
-                        "area": float("nan"),
-                        "status": f"infeasible({exc})",
-                    }
-                )
-    if cfg.output_dir is not None:
-        exports.export_study_csv(GALLERY_COLUMNS, rows, cfg.out_path(f"gallery_{cfg.container_name}.csv"))
+            svg = f"gallery_{cfg.container_name}_p{p:g}_a{alpha:g}.svg"
+            rows.append(_cell(cfg, GALLERY_COLUMNS, i * len(cfg.alphas) + j, p, alpha, svg)[1])
+    _maybe_csv(cfg, "gallery", GALLERY_COLUMNS, rows)
     return rows

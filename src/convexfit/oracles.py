@@ -23,6 +23,7 @@ from .geometry import (
     Translated,
     TWO_PI,
     container_area,
+    grid_constants,
     inner_parallel,
     support_samples,
 )
@@ -142,8 +143,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
     steps = h_c / (G - 1)
     area_slack = float(np.max(np.abs(area_grad) * steps))
 
-    cos = np.cos(TWO_PI / n)
-    kappa = (np.pi / n) / (2.0 - 2.0 * cos)
+    two_cos, kappa = grid_constants(n)
     w = TWO_PI / n
     tail = np.stack(
         np.meshgrid(*[np.arange(G)] * (n - 1), indexing="ij"), axis=-1
@@ -154,7 +154,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
         H = np.empty((tail.shape[0], n))
         H[:, 0] = i0 * steps[0]
         H[:, 1:] = tail * steps[1:]
-        c = np.roll(H, -1, axis=1) + np.roll(H, 1, axis=1) - 2.0 * cos * H
+        c = np.roll(H, -1, axis=1) + np.roll(H, 1, axis=1) - two_cos * H
         feas = np.all(c >= 0.0, axis=1)
         area = kappa * np.sum(H * c, axis=1)
         feas &= np.abs(area - target) <= slack
@@ -168,7 +168,6 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
 
     def full_scan(slack):
         best = None
-        count = 0
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -179,16 +178,15 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
         for out in results:
             if out is None:
                 continue
-            count += 1
             if best is None or out[0] < best[0] or (out[0] == best[0] and out[1] < best[1]):
                 best = out
-        return best, count
+        return best
 
-    best, _ = full_scan(area_slack)
+    best = full_scan(area_slack)
     widened = False
     if best is None:
         widened = True
-        best, _ = full_scan(4.0 * area_slack)
+        best = full_scan(4.0 * area_slack)
     if best is None:
         raise OracleNotApplicable(
             f"no feasible grid point within area slack {4 * area_slack:g}"

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from convexfit.cli import main
+from convexfit.config import parse_config
 
 
 @pytest.fixture()
@@ -171,6 +172,33 @@ def test_seed_and_outdir_flags(tmp_path):
     cfg = write(tmp_path, "cfg.yaml", "container: disk\np: 2\nalpha: 0.5\nn: 32\nseeds: 1\n")
     assert main(["--output-dir", str(other), "--seed", "7", "solve", str(cfg)]) == 0
     assert (other / "shape_nodal.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, command, key",
+    [
+        (["--seed", "-3"], "solve", "base_seed"),
+        (["--threads", "-2"], "validate", "threads"),
+        (["--threads", "0"], "oracle", "threads"),
+        (["--output-dir", ""], "validate", "output_dir"),
+    ],
+)
+def test_override_flags_are_validated(tmp_path, outdir, capsys, flags, command, key):
+    cfg = write(tmp_path, "cfg.yaml", f"container: disk\nn: 5\nseeds: 1\noutput_dir: {outdir}\n")
+    assert main(flags + [command, cfg]) == 2
+    assert f"{key}: must be" in capsys.readouterr().err
+
+
+def test_overridden_keys_are_not_defaults(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.yaml", "container: disk\n")
+    assert main(["--seed", "7", "--threads", "3", "--output-dir", "elsewhere", "validate", cfg]) == 0
+    out = capsys.readouterr().out
+    echoed = parse_config(out)
+    assert (echoed.base_seed, echoed.threads, echoed.output_dir) == (7, 3, "elsewhere")
+    defaulted = out.splitlines()[-1]
+    assert defaulted.startswith("# defaults applied:")
+    for key in ("base_seed", "threads", "output_dir"):
+        assert key not in defaulted
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):

@@ -172,6 +172,110 @@ class TestGallery:
         assert all(np.isfinite(row["energy"]) for row in rows)
 
 
+def fail_on(monkeypatch, name, failing):
+    """Make experiments.<name> raise InfeasibleError on the call indices in
+    `failing`; returns the log of (kwargs, result or None) per call."""
+    original = getattr(experiments, name)
+    log = []
+
+    def patched(*args, **kwargs):
+        if len(log) in failing:
+            log.append((kwargs, None))
+            raise multistart.InfeasibleError(f"forced {len(log) - 1}")
+        result = original(*args, **kwargs)
+        log.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(experiments, name, patched)
+    return log
+
+
+def csv_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+class TestFailedCells:
+    """A cell with no feasible start gives a NaN row; the study goes on."""
+
+    def test_gamma_sweep(self, monkeypatch, tmp_path):
+        # calls: 0 is p = inf, then p = 4, 2, 1; the p = 2 cell fails
+        log = fail_on(monkeypatch, "solve_nodal", {2})
+        cfg = small_cfg(DISK, "disk", alphas=(0.3,), ps=(1.0, 2.0, 4.0), n=32, seeds=0,
+                        output_dir=str(tmp_path))
+        rows, r_inf = gamma_sweep(cfg)
+        failed = rows[1]
+        assert failed["p"] == 2.0 and failed["status"] == "infeasible(forced 2)"
+        for key in ("sigma_normalized", "hausdorff_to_minimax", "powered_value", "energy"):
+            assert math.isnan(failed[key])
+        assert failed["sigma_infinity"] == r_inf.energy
+        assert rows[0]["status"] == rows[2]["status"] == "converged"
+        assert log[3][0]["init"] is log[1][1].samples  # p = 1 warm-starts from p = 4
+        written = csv_rows(tmp_path / "gamma_disk.csv")
+        assert [r["status"] for r in written] == [r["status"] for r in rows]
+        assert written[1]["energy"] == "nan"
+        assert not (tmp_path / "gamma_disk_p2.svg").exists()
+        assert (tmp_path / "gamma_disk_p1.svg").exists()
+
+    def test_f_curve(self, monkeypatch, tmp_path):
+        log = fail_on(monkeypatch, "solve_nodal", {0, 2})
+        cfg = small_cfg(DISK, "disk", alphas=(0.2, 0.4, 0.6, 0.8), ps=(2.0,), n=32, seeds=0,
+                        output_dir=str(tmp_path))
+        rows, violation = f_curve(cfg)
+        assert [r["status"] for r in rows] == [
+            "infeasible(forced 0)", "converged", "infeasible(forced 2)", "converged"
+        ]
+        assert math.isnan(rows[0]["f_value"]) and math.isnan(rows[2]["f_value"])
+        assert log[1][0]["init"] is None  # nothing solved before it
+        assert log[3][0]["init"] is log[1][1].samples  # 0.8 warm-starts from 0.4
+        assert violation == max(rows[3]["f_value"] - rows[1]["f_value"], 0.0)
+        written = csv_rows(tmp_path / "fcurve_disk.csv")
+        assert [r["f_value"] for r in written][::2] == ["nan", "nan"]
+
+    def test_shape_gallery(self, monkeypatch, tmp_path):
+        fail_on(monkeypatch, "solve_nodal", {1})
+        cfg = small_cfg(DISK, "disk", alphas=(0.4, 0.8), ps=(2.0,), n=32, seeds=0,
+                        output_dir=str(tmp_path))
+        rows = shape_gallery(cfg)
+        assert rows[1]["status"] == "infeasible(forced 1)"
+        assert (rows[1]["p"], rows[1]["alpha"]) == (2.0, 0.8)
+        for key in ("energy", "sigma_normalized", "area"):
+            assert math.isnan(rows[1][key])
+        assert rows[0]["status"] == "converged"
+        written = csv_rows(tmp_path / "gallery_disk.csv")
+        assert written[1]["status"] == "infeasible(forced 1)" and written[1]["area"] == "nan"
+        assert (tmp_path / "gallery_disk_p2_a0.4.svg").exists()
+        assert not (tmp_path / "gallery_disk_p2_a0.8.svg").exists()
+
+    def compare_cfg(self, tmp_path):
+        return small_cfg(SQUARE, "square", alphas=(0.7,), ps=(4.0,), n=32, n_f=6, m=64, q=64,
+                         seeds=0, output_dir=str(tmp_path))
+
+    def test_compare_methods_fourier_fails(self, monkeypatch, tmp_path):
+        fail_on(monkeypatch, "solve_fourier", {0})
+        report = compare_methods(self.compare_cfg(tmp_path))
+        assert report["fourier_error"] == "forced 0"
+        assert "nodal_warm" not in report and "nodal_warm_error" not in report
+        assert report["nodal_cold"].status == "converged"
+        written = csv_rows(tmp_path / "compare_square.csv")
+        assert written[0]["energy_fourier"] == written[0]["energy_nodal_warm"] == "nan"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            "compare_square.csv", "compare_square_nodal_cold.svg",
+            "compare_square_nodal_cold_history.csv",
+        ]
+
+    def test_compare_methods_nodal_fails(self, monkeypatch, tmp_path):
+        fail_on(monkeypatch, "solve_nodal", {0, 1})
+        report = compare_methods(self.compare_cfg(tmp_path))
+        assert report["nodal_cold_error"] == "forced 0"
+        assert report["nodal_warm_error"] == "forced 1"
+        assert "energy_fourier" in report and "nodal_cold" not in report
+        written = csv_rows(tmp_path / "compare_square.csv")
+        assert written[0]["energy_nodal_cold"] == written[0]["energy_nodal_warm"] == "nan"
+
+
 class TestDeterminism:
     def test_gamma_sweep_csv_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
