@@ -126,6 +126,8 @@ def _cmd_sweep_alpha(cfg):
 
 
 def _cmd_compare(cfg):
+    if math.isinf(cfg.p):
+        raise ConfigError("compare-methods needs a finite exponent (its Fourier branch)", "p")
     report = compare_methods(_study_config(cfg))
     for key in ("energy_fourier", "energy_nodal_cold", "energy_nodal_warm"):
         if key in report:

@@ -239,6 +239,7 @@ def parse_config(text, overrides=None):
     alpha = as_float(values["alpha"], "alpha", lo=0.0, hi=1.0)
     method = values["method"]
     _require(method in METHODS, f"must be one of {METHODS}", "method")
+    _require(method not in ("fourier", "both") or math.isfinite(p), f"method {method} needs a finite p", "p")
 
     alphas = as_floats("alphas", lo=0.0, hi=1.0)
     _require(alphas is None or all(b > a for a, b in zip(alphas, alphas[1:])), "must increase", "alphas")
@@ -260,6 +261,8 @@ def parse_config(text, overrides=None):
 
     output_dir = values["output_dir"]
     _require(isinstance(output_dir, str) and output_dir, "must be a non-empty string", "output_dir")
+    n_f, q = as_int("n_f", 1), as_int("q", 4)
+    _require(q >= 4 * n_f, f"must be >= 4 * n_f = {4 * n_f} (anti-aliasing)", "q")
 
     return RunConfig(
         container=container,
@@ -270,9 +273,9 @@ def parse_config(text, overrides=None):
         ps=ps,
         method=method,
         n=as_int("n", 3),
-        n_f=as_int("n_f", 1),
+        n_f=n_f,
         m=as_int("m", 3),
-        q=as_int("q", 4),
+        q=q,
         seeds=as_int("seeds", 0),
         base_seed=as_int("base_seed", 0),
         threads=as_int("threads", 1),

@@ -4,15 +4,14 @@ constraints and one scalar equality constraint.
 The outer loop is the classical safeguarded method of multipliers:
 inequalities enter through the Powell-Hestenes-Rockafellar squared-hinge
 term with multiplier estimates, the equality through the usual linear +
-quadratic penalty.  Subproblems are minimized by backtracking Armijo
-descent.  When the problem supplies a curvature seed (`h0_builder`), every
-step is a damped Newton step on the active-set Gauss-Newton model of the
-augmented Lagrangian; the solver hands the seed the current point, the
-active rows (lam + rho (A x - b) >= 0, from the residual it already holds),
-the penalty rho and the equality gradient it already holds at the point.
-Both shape discretizations supply a seed: it is what makes their
-nearly-degenerate convexity constraints tractable, where plain L-BFGS
-crawls in the flat valleys.  L-BFGS serves only problems without a seed.
+quadratic penalty.  Subproblems are minimized by damped Newton steps with
+a backtracking Armijo search.  Every problem must supply the curvature
+seed `h0_builder`, the active-set Gauss-Newton model of the augmented
+Lagrangian, rebuilt at every inner iterate from the current point, the
+active rows (lam + rho (A x - b) >= 0, from the residual the solver already
+holds), the penalty rho and the equality gradient at the point.  It is what
+makes the shape problems' nearly-degenerate convexity constraints
+tractable; `dense_h0_builder` makes one from an objective Hessian.
 
 The line search evaluates its trials along a ray.  At every accepted point
 x the constraint residual r = A x - b is computed once, exactly, and A d
@@ -54,13 +53,13 @@ class NlpProblem:
     All callables must be deterministic and return finite values near the
     feasible set.
 
-    `h0_builder(x, active, rho, eq_grad) -> (q -> d)` may supply an
+    `h0_builder(x, active, rho, eq_grad) -> (q -> d)` supplies an
     approximate inverse Hessian of the augmented Lagrangian, rebuilt at
     every inner iterate; `active` is the boolean mask of the inequality rows
     in the hinge, lam + rho (A x - b) >= 0, and `eq_grad` is the gradient
     of `equality` at x (None without an equality), so that the builder need
-    not evaluate the equality again.  Problems with structured constraints
-    should provide it.
+    not evaluate the equality again.  `solve_nlp` requires it; it may be
+    attached after construction, and `check_kkt` does not use it.
     """
 
     dim: int
@@ -91,7 +90,6 @@ INNER_TOL_FLOOR = 1e-9  # relative to the start gradient's inf-norm
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
-LBFGS_MEMORY = 10
 
 
 @dataclass
@@ -188,23 +186,6 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
     }
 
 
-def _lbfgs_direction(grad, s_list, y_list):
-    q = grad.copy()
-    alphas = []
-    rhos = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
-    for (s, y), rho in zip(reversed(list(zip(s_list, y_list))), reversed(rhos)):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y), rho, a in zip(zip(s_list, y_list), rhos, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
-
-
 class _Augmented:
     """The augmented Lagrangian at fixed multipliers (lam, mu) and penalty rho.
 
@@ -251,15 +232,16 @@ class _Augmented:
 
 
 def _inner_minimize(al, x0, tol, params):
-    """Backtracking Armijo descent on the _Augmented `al`.
+    """Damped Newton descent with backtracking Armijo search on the _Augmented `al`.
 
-    With the problem's `h0_builder` the search direction is the damped
-    Newton step -H0(x)^{-1} g, H0 rebuilt at every iterate from the active
-    rows of the current residual (no memory pairs: the hinge structure of
-    the augmented Lagrangian makes stale pairs harmful); without a seed it
-    is plain L-BFGS.  Trials are evaluated along the ray r + s A d from the
-    exact residual r of the current point, and the accepted trial keeps its
-    ray value (see the module docstring).
+    The search direction is -H0(x)^{-1} g from the problem's `h0_builder`,
+    H0 rebuilt at every iterate from the active rows of the current
+    residual (no memory pairs: the hinge structure of the augmented
+    Lagrangian makes stale curvature harmful); steepest descent stands in
+    when the seed's direction is not a descent one.  Trials are evaluated
+    along the ray r + s A d from the exact residual r of the current point,
+    and the accepted trial keeps its ray value (see the module docstring).
+    A search that finds no decrease ends the loop.
 
     The loop returns at the first accepted step whose point equals x (a
     null step: |s d| below half an ulp of x in every entry), counting it as
@@ -268,10 +250,7 @@ def _inner_minimize(al, x0, tol, params):
     and so does every trial value; f can only have fallen.  A trial
     rejected before stays rejected, and since rounding is monotone, every
     step at or below the accepted one rounds back to x as well.  The search
-    would accept a null step again or fail and stop.  On the L-BFGS path
-    the null pair (s, y) = (0, 0) is never stored, so the direction repeats
-    too; there a failed search with memory would have restarted from
-    steepest descent, which the exit gives up.
+    would accept a null step again or fail and stop.
 
     Returns (x, iterations, AL evaluations, rejected trials).
     """
@@ -282,16 +261,11 @@ def _inner_minimize(al, x0, tol, params):
     f, g = al.value(parts, r), al.gradient(parts, r)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise SolverAbort("non-finite objective or gradient at the start point")
-    s_list, y_list = [], []
     iters, evals, backtracks = 0, 1, 0
     while iters < params.max_inner and np.linalg.norm(g, np.inf) > tol:
-        if h0_builder is not None:
-            d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho, parts[3])(g)
-        else:
-            d = _lbfgs_direction(g, s_list, y_list)
+        d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho, parts[3])(g)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope >= 0:
-            s_list, y_list = [], []
             d = -g
             slope = float(g @ d)
         ad = al.A @ d
@@ -308,27 +282,14 @@ def _inner_minimize(al, x0, tol, params):
             backtracks += 1
             step *= BACKTRACK
         if accepted is None:
-            if s_list:
-                s_list, y_list = [], []
-                continue
-            break  # no decrease even along steepest descent: stop
-        x_new, parts, f_new = accepted
-        if np.array_equal(x_new, x):
-            iters += 1
-            break  # a null step: every later search would repeat it
-        r = al.residual(x_new)
-        g_new = al.gradient(parts, r)
-        if h0_builder is None:
-            s, y = x_new - x, g_new - g
-            sy = float(s @ y)
-            if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-                s_list.append(s)
-                y_list.append(y)
-                if len(s_list) > LBFGS_MEMORY:
-                    s_list.pop(0)
-                    y_list.pop(0)
-        x, f, g = x_new, f_new, g_new
+            break  # no decrease along the search direction: stop
+        x_new, parts, f = accepted
         iters += 1
+        if np.array_equal(x_new, x):
+            break  # a null step: every later search would repeat it
+        x = x_new
+        r = al.residual(x)
+        g = al.gradient(parts, r)
     return x, iters, evals, backtracks
 
 
@@ -372,6 +333,8 @@ def solve_nlp(problem, x0, params=None):
     the feasibility bound and failed to shrink by VIOLATION_SHRINK.
     """
     params = params or SolverParams()
+    if problem.h0_builder is None:
+        raise ValueError("solve_nlp needs the problem's h0_builder (its Newton seed)")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
@@ -446,16 +409,16 @@ def solve_nlp(problem, x0, params=None):
             rho = min(rho * RHO_GROWTH, RHO_MAX)
         prev_viol = viol
 
-    viol, _ = violation(problem, x)
-    if status != "converged" and viol > feas:
+    last = history[-1]  # max_outer >= 1: never empty
+    if status != "converged" and last.max_violation > feas:
         status = "infeasible"
     return NlpResult(
         x=x,
-        objective=float(problem.objective(x)[0]),
+        objective=last.objective,
         ineq_multipliers=lam,
         eq_multiplier=mu,
-        kkt_residual=history[-1].stationarity if history else np.inf,
-        max_violation=viol,
+        kkt_residual=last.stationarity,
+        max_violation=last.max_violation,
         history=history,
         status=status,
         reason=reason,

@@ -1,11 +1,18 @@
 """Command-line interface: exit codes and produced files."""
 
+import csv
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from convexfit.cli import main
+from convexfit.cli import COMMANDS, main
 from convexfit.config import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+# `convexfit <command> <config> [...]` lines of the README's usage block
+README_COMMANDS = re.findall(r"^convexfit ([a-z-]+) (\S+)", (ROOT / "README.md").read_text(), re.M)
 
 
 @pytest.fixture()
@@ -207,3 +214,42 @@ def test_output_dir_env_default(tmp_path, monkeypatch):
     cfg = write(tmp_path, "cfg.yaml", "container: disk\np: 2\nalpha: 0.5\nn: 32\nseeds: 1\n")
     assert main(["solve", str(cfg)]) == 0
     assert (env_dir / "shape_nodal.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("n_f: 32\nq: 64\n", "validate"),  # the Fourier quadrature needs q >= 4 n_f
+        ("p: inf\nmethod: fourier\n", "validate"),
+        ("p: inf\nmethod: both\n", "solve"),
+        ("p: inf\nn: 5\n", "compare-methods"),
+    ],
+)
+def test_settings_the_fourier_method_rejects_are_config_errors(tmp_path, outdir, capsys, text, command):
+    cfg = write(tmp_path, "cfg.yaml", f"container: disk\n{text}output_dir: {outdir}\n")
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {'q' if 'q:' in text else 'p'}: ")
+    assert not outdir.exists()  # nothing was solved
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda path: path.name)
+def test_shipped_configs_validate(path):
+    assert main(["validate", str(path)]) == 0
+
+
+def test_readme_commands_name_commands_and_files():
+    assert len(README_COMMANDS) >= len(COMMANDS)
+    for command, path in README_COMMANDS:
+        assert command in COMMANDS
+        assert (ROOT / path).is_file(), path
+
+
+def test_readme_oracle_line_reproduces_the_fixture(outdir):
+    ((_, path),) = [entry for entry in README_COMMANDS if entry[0] == "oracle"]
+    assert main(["--output-dir", str(outdir), "oracle", str(ROOT / path)]) == 0
+    with open(outdir / "oracle_disk_n5.csv") as produced:
+        (row,) = csv.DictReader(produced)
+    with open(ROOT / "tests" / "data" / "oracle_fixtures.csv") as fixture:
+        (expected,) = [entry for entry in csv.DictReader(fixture) if entry["name"] == "disk"]
+    assert float(row["energy"]) == float(expected["energy"]) == 1.1695733415440672

@@ -17,7 +17,7 @@ from convexfit.experiments import (
     shape_gallery,
 )
 from convexfit.geometry import Disk, Scaled, named_container, support_samples
-from convexfit.solver import NlpProblem
+from convexfit.solver import NlpProblem, dense_h0_builder
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -100,6 +100,7 @@ class TestEquivalenceProbe:
             ineq_matrix=np.array([[1.0], [-1.0]]),
             ineq_rhs=np.array([0.0, -1.0]),
         )
+        rows.h0_builder = dense_h0_builder(rows, lambda x: np.full(1, 2.0))
 
         def stage2(nlp, starts, params, energy_fn):
             return multistart.run_multistart(rows, [np.zeros(1)], params, energy_fn)

@@ -33,6 +33,7 @@ def quadratic(center):
 
 def test_unconstrained_quadratic():
     prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]))
+    prob.h0_builder = lambda x, active, rho, eq_grad: (lambda q: q / 2)  # the exact inverse
     res = solve_nlp(prob, np.zeros(2))
     np.testing.assert_allclose(res.x, [1.0, 2.0], atol=1e-10)
     assert res.status == "converged"
@@ -47,6 +48,7 @@ def test_active_bound_multiplier():
         ineq_matrix=np.array([[-1.0]]),
         ineq_rhs=np.array([0.0]),
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(1))
     res = solve_nlp(prob, np.array([3.0]))
     assert res.status == "converged"
     assert abs(res.x[0]) <= 1e-8
@@ -59,6 +61,7 @@ def test_symmetric_projection():
         objective=lambda x: (float(x @ x), 2.0 * x),
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
     res = solve_nlp(prob, np.zeros(2), SolverParams(feas_tol=1e-9))
     np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-6)
     report = check_kkt(prob, res.x, None, res.eq_multiplier)
@@ -88,6 +91,7 @@ def test_multistart_raises_when_nothing_is_feasible():
         ineq_matrix=np.array([[1.0], [-1.0]]),
         ineq_rhs=np.array([0.0, -1.0]),
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(1, 2.0))
     with pytest.raises(InfeasibleError) as err:
         run_multistart(prob, [np.zeros(1), np.ones(1)], None, lambda x: float(x @ x))
     assert str(err.value).startswith("no feasible point found by any start (best violation")
@@ -120,6 +124,7 @@ def test_bitwise_deterministic_history():
         objective=lambda x: (float(x @ x), 2.0 * x),
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
     a = solve_nlp(prob, np.array([0.3, -0.2]))
     b = solve_nlp(prob, np.array([0.3, -0.2]))
     assert len(a.history) == len(b.history)
@@ -167,6 +172,7 @@ def test_matches_active_set_enumeration(seed):
         ineq_matrix=A,
         ineq_rhs=b,
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: Q)
     res = solve_nlp(prob, np.zeros(n), SolverParams(feas_tol=1e-10))
     val, x_ref = _active_set_qp(Q, q, A, b)
     assert abs(res.objective - val) <= 1e-6
@@ -188,6 +194,7 @@ def test_penalty_violation_monotone():
         ineq_rhs=b,
         equality=lambda x: (float(x @ x - 1.0), 2.0 * x),
     )
+    prob.h0_builder = dense_h0_builder(prob, lambda x: Q)
     res = solve_nlp(prob, np.full(n, 2.0))
     viols = [rec.max_violation for rec in res.history[1:]]
     for earlier, later in zip(viols, viols[1:]):
@@ -198,8 +205,17 @@ def test_nonfinite_objective_aborts():
     def bad(x):
         return float("nan"), np.zeros(1)
 
+    prob = NlpProblem(dim=1, objective=bad)
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(1))
     with pytest.raises(SolverAbort):
-        solve_nlp(NlpProblem(dim=1, objective=bad), np.zeros(1))
+        solve_nlp(prob, np.zeros(1))
+
+
+def test_a_problem_without_seed_is_refused():
+    # the seed's Newton step is the solver's only search direction
+    prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]))
+    with pytest.raises(ValueError, match="h0_builder"):
+        solve_nlp(prob, np.zeros(2))
 
 
 @pytest.mark.parametrize("name", ["rho0", "outer_tol", "feas_tol"])
@@ -314,6 +330,7 @@ def test_toy_sweep_inner_loops_end_at_null_steps(monkeypatch):
 
 def test_exit_reason_reaches_the_message():
     prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]), ineq_matrix=np.eye(2), ineq_rhs=np.zeros(2))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
     res = solve_nlp(prob, np.full(2, -1.0), SolverParams(max_outer=1, outer_tol=1e-14))
     assert res.status != "converged"
     assert res.reason == "max_outer"
