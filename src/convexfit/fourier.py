@@ -183,11 +183,19 @@ def assemble_linear_constraints(prob):
     return (inc, prob.container_on_constraints.copy()), (cvx, np.zeros(prob.m))
 
 
+@lru_cache(maxsize=16)
+def _area_factor(n_f):
+    """The area form's weights 1 - j^2, j = 1..n_f (read-only: shared by the cache)."""
+    factor = 1.0 - np.arange(1, n_f + 1, dtype=float) ** 2
+    factor.setflags(write=False)
+    return factor
+
+
 def fourier_area(shape):
     """Exact area quadratic form and its gradient in coefficient layout."""
     x = shape.to_vector() if isinstance(shape, FourierShape) else np.asarray(shape, float)
     n_f = (x.size - 1) // 2
-    factor = 1.0 - np.arange(1, n_f + 1, dtype=float) ** 2
+    factor = _area_factor(n_f)
     a0, aj, bj = x[0], x[1 : n_f + 1], x[n_f + 1 :]
     area = np.pi * a0**2 + 0.5 * np.pi * np.sum(factor * (aj**2 + bj**2))
     grad = np.concatenate([[2.0 * np.pi * a0], np.pi * factor * aj, np.pi * factor * bj])
@@ -297,18 +305,25 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     ref = max(anchor_gap, 1e-6 * container_scale(prob.container))
 
     ones_grad = -(w / ref) * np.sum(B, axis=0)
+    # the objective's last point and its clamped gap: the seed is built at
+    # the point the line search accepted, which the objective just evaluated
+    last = [None, None]
 
     def objective(x):
         if p == 1.0:
             # linear form: no kink on the inclusion boundary (see nodal)
             return float(w * np.sum((hq - B @ x) / ref)), ones_grad.copy()
-        value, grad, _ = powered_gap(B @ x, hq, p, ref)
+        value, grad, gap = powered_gap(B @ x, hq, p, ref)
+        last[:] = np.array(x, dtype=float), gap
         return value, B.T @ grad
 
     def obj_hessian(x):
         if p < 2.0:
             return np.zeros(prob.dim)
-        gap = powered_gap(B @ x, hq, p, ref)[2]
+        if np.array_equal(x, last[0]):
+            gap = last[1]
+        else:
+            gap = np.maximum((hq - B @ x) / ref, 0.0)  # powered_gap's clamped gap
         return _weighted_gram(p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0), prob.n_f)
 
     area_scale = max(prob.container_area, 1e-300)

@@ -204,6 +204,8 @@ def _area_equality(prob):
 
     def equality(x):
         area, grad = nodal_area(x[:n])
+        if x.size == n:
+            return (area - prob.target_area) / scale, grad / scale
         g = np.zeros(x.size)
         g[:n] = grad / scale
         return (area - prob.target_area) / scale, g
@@ -275,15 +277,16 @@ def _h0_builder(nlp, n, obj_hess_diag):
             cols += [np.full(n, n), idx, [n]]
     flat = np.concatenate(rows) * dim + np.concatenate(cols)
     positions, bins = np.unique(flat, return_inverse=True)
-    diagonal = slice(None, None, dim + 1)  # of H.flat
+    diagonal = slice(None, None, dim + 1)  # of H.ravel()
 
     def builder(x, act, rho, eq_grad):
         d_inc = act[:n].astype(float)
         d_cvx = act[n : 2 * n].astype(float)
+        d_next = d_cvx[up1]
         diag = np.asarray(obj_hess_diag(x))[:n] + rho * d_inc
-        diag += rho * (d_cvx[down1] + 4.0 * cos**2 * d_cvx + d_cvx[up1])
-        band1 = -2.0 * cos * rho * (d_cvx + d_cvx[up1])
-        band2 = rho * d_cvx[up1]
+        diag += rho * (d_cvx[down1] + 4.0 * cos**2 * d_cvx + d_next)
+        band1 = -2.0 * cos * rho * (d_cvx + d_next)
+        band2 = rho * d_next
         weights = [diag, band1, band1, band2, band2]
         if has_gap:
             d_gap = act[2 * n :].astype(float)
@@ -293,8 +296,9 @@ def _h0_builder(nlp, n, obj_hess_diag):
                 weights += [w_gap, w_gap, [rho * float(np.sum(d_gap))]]
         sums = np.bincount(bins, weights=np.concatenate(weights), minlength=positions.size)
         H = rho * np.outer(eq_grad, eq_grad) if eq_grad is not None else np.zeros((dim, dim))
-        H.flat[positions] += sums
-        H.flat[diagonal] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
+        view = H.ravel()  # H is contiguous, so this writes into H
+        view[positions] += sums
+        view[diagonal] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
 
         def apply(q):
             return np.linalg.solve(H, q)
@@ -348,7 +352,7 @@ def _powered_nlp(prob, zu):
         # at the natural shape scale
         if p < 2.0:
             return np.full(n, w / ref**2)
-        gap = powered_gap(x, prob.container_values, p, ref)[2]
+        gap = np.maximum((prob.container_values - x) / ref, 0.0)  # powered_gap's clamped gap
         return p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
 
     return _nodal_nlp(prob, objective, obj_hess_diag, _area_equality(prob))

@@ -299,22 +299,29 @@ def dense_h0_builder(problem, obj_hessian):
     `obj_hessian(x)` returns the (dense or diagonal) objective Hessian.  The
     indefinite curvature of the equality constraint is deliberately dropped:
     the remaining model is positive semidefinite by construction.  Meant for
-    moderate dimensions (the masked normal matrix is formed densely).
+    moderate dimensions (the masked normal matrix is formed densely).  The
+    active rows and rho often repeat from one inner iterate to the next, so
+    rho A_act^T A_act is kept for the last (mask, rho) and copied while it
+    repeats.
     """
     A = problem.ineq_matrix
-    diagonal = slice(None, None, problem.dim + 1)  # of H.flat
+    diagonal = slice(None, None, problem.dim + 1)  # of H.ravel()
+    normal = [None, None]  # (active-mask bytes, rho) and its rho A_act^T A_act
 
     def builder(x, active, rho, eq_grad):
-        Am = A[active]
-        H = rho * (Am.T @ Am)
+        key = (active.tobytes(), rho)
+        if key != normal[0]:
+            Am = A[active]
+            normal[:] = key, rho * (Am.T @ Am)
+        H = normal[1].copy()
         Hf = obj_hessian(x)
         if np.ndim(Hf) == 1:
-            H.flat[diagonal] += Hf
+            H.ravel()[diagonal] += Hf
         else:
             H += Hf
         if eq_grad is not None:
             H += rho * np.outer(eq_grad, eq_grad)
-        H.flat[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
+        H.ravel()[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
 
         def apply(q):
             return np.linalg.solve(H, q)

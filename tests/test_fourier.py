@@ -154,7 +154,11 @@ class TestWeightedGram:
 
 class TestNewtonSeed:
     """The dense seed inverts B^T diag(d) B + rho A_act^T A_act + rho e_g e_g^T
-    plus the builder's shift, with the objective Hessian built densely here."""
+    plus the builder's shift, with the objective Hessian built densely here.
+
+    The builder keeps the normal matrix of the last (active rows, rho) and
+    takes the gap from the objective's last point; a stale copy of either
+    would show as a residual here."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_inverts_dense_reference(self, monkeypatch, seed):
@@ -171,7 +175,12 @@ class TestNewtonSeed:
         nlp, rho, p = seen["nlp"], 10.0, prob.p
         rng = np.random.default_rng(seed)
         x = seen["anchor"] + 1e-3 * rng.standard_normal(nlp.dim)
-        act = rng.uniform(size=nlp.n_ineq) < 0.5
+        masks = [rng.uniform(size=nlp.n_ineq) < 0.5 for _ in range(2)]
+        eg = nlp.equality(x)[1]
+        q = rng.standard_normal(nlp.dim)
+
+        nlp.objective(seen["anchor"])  # the objective's last point is not x
+        cold = [nlp.h0_builder(x, act, rho, eg)(q) for act in masks]
 
         B = basis_matrix(prob.quadrature_angles, prob.n_f)
         w = 2 * np.pi / prob.q
@@ -179,13 +188,15 @@ class TestNewtonSeed:
         # the objective divides the gap by a scale; read it back from the value
         ref = (w * np.sum(raw**p) / nlp.objective(x)[0]) ** (1.0 / p)
         d = p * (p - 1.0) * w / ref**2 * (raw / ref) ** (p - 2.0)
-        A = nlp.ineq_matrix[act]
-        eg = nlp.equality(x)[1]
-        H = (B.T * d) @ B + rho * A.T @ A + rho * np.outer(eg, eg)
-        H += 1e-8 * max(1.0, float(np.max(np.abs(H)))) * np.eye(nlp.dim)
-        q = rng.standard_normal(nlp.dim)
-        step = nlp.h0_builder(x, act, rho, eg)(q)
-        assert np.linalg.norm(H @ step - q) <= 1e-8 * np.linalg.norm(q)
+        for act, step in zip(masks, cold):
+            A = nlp.ineq_matrix[act]
+            H = (B.T * d) @ B + rho * A.T @ A + rho * np.outer(eg, eg)
+            H += 1e-8 * max(1.0, float(np.max(np.abs(H)))) * np.eye(nlp.dim)
+            assert np.linalg.norm(H @ step - q) <= 1e-8 * np.linalg.norm(q)
+
+        # x is now the objective's last point, and masks[1] at rho the last key
+        warm = nlp.h0_builder(x, masks[1], rho, eg)(q)
+        assert np.array_equal(warm, cold[1])
 
 
 class TestToNodal:
