@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -24,31 +24,11 @@ from .geometry import (
     Translated,
     named_container,
 )
+from .solver import SolverParams
 
 SCHEMA_VERSION = 1
 
 METHODS = ("fourier", "nodal", "minimax", "both")
-
-DEFAULTS = {
-    "p": 2.0,
-    "alpha": 0.5,
-    "alphas": None,
-    "ps": None,
-    "method": "nodal",
-    "n": 256,
-    "n_f": 32,
-    "m": 720,
-    "q": 1024,
-    "seeds": 4,
-    "base_seed": 0,
-    "threads": 1,
-    "output_dir": "out",
-    "solver": None,
-    "oracle_grid": 25,
-}
-
-SOLVER_KEYS = ("rho0", "outer_tol", "feas_tol", "max_outer", "max_inner")
-SOLVER_BUDGETS = ("max_outer", "max_inner")  # iteration counts: integers >= 1
 
 
 class ConfigError(ValueError):
@@ -79,6 +59,10 @@ class RunConfig:
     solver: dict | None = None
     oracle_grid: int = 25
     defaults_applied: list = field(default_factory=list)
+
+
+# every top-level key but `container`, with its default
+DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _parse_container(doc, key="container"):
@@ -248,15 +232,13 @@ def parse_config(text, overrides=None):
     solver = values["solver"]
     if solver is not None:
         _require(isinstance(solver, dict), "must be a mapping", "solver")
-        extra = set(solver) - set(SOLVER_KEYS)
+        extra = set(solver) - {f.name for f in fields(SolverParams)}
         _require(not extra, f"unknown keys {sorted(extra)}", "solver")
         for k, v in solver.items():
-            _require(
-                isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number", f"solver.{k}"
-            )
-            _require(k not in SOLVER_BUDGETS or isinstance(v, int), "must be an integer", f"solver.{k}")
-            _require(math.isfinite(v), "must be finite", f"solver.{k}")
-            _require(v > 0, "must be positive", f"solver.{k}")
+            try:
+                SolverParams(**{k: v})
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc), f"solver.{k}") from exc
         solver = {k: solver[k] for k in sorted(solver)}
 
     output_dir = values["output_dir"]
@@ -315,7 +297,4 @@ def serialize_config(cfg):
 
 def solver_params_from(cfg):
     """SolverParams built from the config's solver overrides (if any)."""
-    from .solver import SolverParams
-
-    overrides = {k: v if k in SOLVER_BUDGETS else float(v) for k, v in (cfg.solver or {}).items()}
-    return SolverParams(**overrides)
+    return SolverParams(**(cfg.solver or {}))

@@ -58,15 +58,31 @@ def export_csv(samples, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_rows(path, header):
+    """(line number, cells) of every non-blank row below the expected header."""
+    with open(path) as handle:
+        first = handle.readline().strip()
+        if first != header:
+            raise GeometryError(f"{path}: expected header {header!r}, got {first!r}")
+        return [(number, line.strip().split(",")) for number, line in enumerate(handle, 2) if line.strip()]
+
+
+def _column(path, rows, column):
+    """Cell `column` of every row as a float; GeometryError naming the line otherwise."""
+    out = []
+    for number, cells in rows:
+        try:
+            out.append(float(cells[column]))
+        except (IndexError, ValueError):
+            raise GeometryError(f"{path}, line {number}: no number in column {column + 1}") from None
+    return np.array(out)
+
+
 def load_shape_csv(path):
     """Read a `theta,h` file back into SupportSamples (uniform grid required)."""
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != SHAPE_HEADER:
-            raise GeometryError(f"expected header {SHAPE_HEADER!r}, got {header!r}")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    theta = np.array([float(r[0]) for r in rows])
-    values = np.array([float(r[1]) for r in rows])
+    rows = _read_rows(path, SHAPE_HEADER)
+    theta = _column(path, rows, 0)
+    values = _column(path, rows, 1)
     n = len(values)
     expected = TWO_PI * np.arange(n) / n
     if n < 3 or np.max(np.abs(theta - expected)) > 1e-9:
@@ -108,14 +124,9 @@ def export_fourier_csv(shape, path):
 
 
 def load_fourier_csv(path):
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != FOURIER_HEADER:
-            raise GeometryError(f"expected header {FOURIER_HEADER!r}, got {header!r}")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    a = [float(r[1]) for r in rows]
-    b = [float(r[2]) for r in rows[1:]]
-    return FourierShape(np.array(a), np.array(b))
+    """Read a `k,a,b` file back into a FourierShape."""
+    rows = _read_rows(path, FOURIER_HEADER)
+    return FourierShape(_column(path, rows, 1), _column(path, rows[1:], 2))
 
 
 def export_svg(container, shapes, path, size=640):

@@ -29,6 +29,7 @@ from .geometry import (
     TWO_PI,
     container_area,
     container_scale,
+    gap_model,
     interior_point,
     powered_gap,
     support_eval,
@@ -298,33 +299,23 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
         starts.append(_blend_feasible(anchor + 0.2 * coeff_scale * noise, deep, rows, rhs))
 
     B = basis_matrix(prob.quadrature_angles, prob.n_f)
-    hq = prob.container_on_quadrature
-    w = TWO_PI / prob.q
     p = prob.p
-    anchor_gap = float(np.max(hq - B @ anchor, initial=0.0))
-    ref = max(anchor_gap, 1e-6 * container_scale(prob.container))
-
-    ones_grad = -(w / ref) * np.sum(B, axis=0)
-    # the objective's last point and its clamped gap: the seed is built at
-    # the point the line search accepted, which the objective just evaluated
+    model_objective, curvature = gap_model(
+        prob.container_on_quadrature, p, B @ anchor, container_scale(prob.container)
+    )
+    # the objective's last point and its gap: the seed is built at the
+    # point the line search accepted, which the objective just evaluated
     last = [None, None]
 
     def objective(x):
-        if p == 1.0:
-            # linear form: no kink on the inclusion boundary (see nodal)
-            return float(w * np.sum((hq - B @ x) / ref)), ones_grad.copy()
-        value, grad, gap = powered_gap(B @ x, hq, p, ref)
+        value, grad, gap = model_objective(B @ x)
         last[:] = np.array(x, dtype=float), gap
         return value, B.T @ grad
 
     def obj_hessian(x):
-        if p < 2.0:
-            return np.zeros(prob.dim)
         if np.array_equal(x, last[0]):
-            gap = last[1]
-        else:
-            gap = np.maximum((hq - B @ x) / ref, 0.0)  # powered_gap's clamped gap
-        return _weighted_gram(p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0), prob.n_f)
+            return _weighted_gram(curvature(None, last[1]), prob.n_f)
+        return _weighted_gram(curvature(B @ x), prob.n_f)
 
     area_scale = max(prob.container_area, 1e-300)
 

@@ -310,6 +310,39 @@ def powered_gap(values, container_values, p, ref=1.0):
     return float(value), grad, gap
 
 
+def gap_model(container_values, p, anchor_values, scale):
+    """The finite-p program both discretizations minimize, on K uniform samples.
+
+    Returns (objective, curvature); w = 2*pi/K and the gap is scaled by
+    ref = max(largest anchor gap, 1e-6 scale).  objective(h) gives the value,
+    its gradient in the samples and the gap: `powered_gap` at ref, but at
+    p = 1 the linear form w sum (h_C - h) / ref, equal on the feasible set
+    and smooth (the clamp's kink on the inclusion boundary, with its
+    zero-gradient side, creates spurious stationary points).  curvature(h,
+    gap=None) gives the Newton seed's per-sample weights p (p - 1) w / ref^2
+    g^(p - 2) at the clamped gap g (the objective's, if passed); below p = 2,
+    where the powered gap has little or no curvature, the proximal floor
+    w / ref^2 keeps the seed bounded and its steps at the shape scale.
+    """
+    ref = max(float(np.max(container_values - anchor_values, initial=0.0)), 1e-6 * scale)
+    w = TWO_PI / container_values.size
+
+    def objective(values):
+        if p == 1.0:
+            gap = (container_values - values) / ref
+            return float(w * np.sum(gap)), np.full(gap.size, -w / ref), gap
+        return powered_gap(values, container_values, p, ref)
+
+    def curvature(values, gap=None):
+        if p < 2.0:
+            return np.full(container_values.size, w / ref**2)
+        if gap is None:
+            gap = np.maximum((container_values - values) / ref, 0.0)  # powered_gap's clamped gap
+        return p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
+
+    return objective, curvature
+
+
 def hausdorff_from_supports(h1, h2):
     """max_j |h1_j - h2_j| on a shared grid."""
     if h1.n != h2.n:

@@ -28,6 +28,7 @@ from .geometry import (
     _clip_halfplane,
     container_scale,
     convexity_residuals,
+    gap_model,
     grid_constants,
     interior_point,
     powered_gap,
@@ -329,33 +330,10 @@ def _epigraph_nlp(prob):
 
 def _powered_nlp(prob, zu):
     """Finite-p program: the powered gap, scaled by the anchor's largest gap."""
-    anchor_gap = float(np.max(prob.container_values - _anchor_start(prob, zu)))
-    ref = max(anchor_gap, 1e-6 * container_scale(prob.container))
-    n, p, w = prob.n, prob.p, TWO_PI / prob.n
-
-    if p == 1.0:
-        # the clamped gap has a kink exactly on the inclusion boundary and
-        # its zero-gradient side creates spurious stationary points there;
-        # the linear form is identical on the feasible set and smooth
-        def objective(x):
-            gap = (prob.container_values - x) / ref
-            return float(w * np.sum(gap)), np.full(n, -w / ref)
-
-    else:
-
-        def objective(x):
-            return powered_gap(x, prob.container_values, p, ref)[:2]
-
-    def obj_hess_diag(x):
-        # below p = 2 the powered gap has little or no curvature; a proximal
-        # floor at the p = 2 scale keeps the Newton seed bounded and steps
-        # at the natural shape scale
-        if p < 2.0:
-            return np.full(n, w / ref**2)
-        gap = np.maximum((prob.container_values - x) / ref, 0.0)  # powered_gap's clamped gap
-        return p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
-
-    return _nodal_nlp(prob, objective, obj_hess_diag, _area_equality(prob))
+    objective, curvature = gap_model(
+        prob.container_values, prob.p, _anchor_start(prob, zu), container_scale(prob.container)
+    )
+    return _nodal_nlp(prob, lambda x: objective(x)[:2], curvature, _area_equality(prob))
 
 
 def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):

@@ -35,6 +35,8 @@ identical iteration histories.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +100,7 @@ class SolverParams:
 
     The defaults are the shape solvers': tight feasibility and at most 150
     inner iterations per outer one (each inner iteration is a Newton step).
+    Its fields and checks are also those of the YAML `solver:` block.
     """
 
     rho0: float = 10.0
@@ -109,8 +112,10 @@ class SolverParams:
     def __post_init__(self):
         for name in ("rho0", "outer_tol", "feas_tol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value <= sys.float_info.max):  # also rejects nan
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            setattr(self, name, float(value))
         for name in ("max_outer", "max_inner"):
             budget = getattr(self, name)
             if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:

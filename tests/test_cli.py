@@ -151,6 +151,15 @@ def test_export_svg_overlays_shapes(tmp_path, outdir):
     assert (outdir / "shapes.svg").exists()
 
 
+@pytest.mark.parametrize("row", ["0.0", "0.0,abc"])
+def test_malformed_shape_csv_is_an_error(tmp_path, capsys, outdir, row):
+    # a short row used to end in an uncaught IndexError, a non-number in a ValueError
+    cfg = write(tmp_path, "cfg.yaml", f"container: disk\noutput_dir: {outdir}\n")
+    shape = write(tmp_path, "bad.csv", f"theta,h\n{row}\n")
+    assert main(["export-svg", cfg, shape]) == 1
+    assert f"error: {shape}, line 2" in capsys.readouterr().err
+
+
 def test_method_both_emits_fourier_and_nodal(tmp_path, outdir):
     cfg = write(
         tmp_path,

@@ -90,7 +90,7 @@ solver: {rho0: 5.0, outer_tol: 1.0e-7, feas_tol: 1.0e-9, max_outer: 12, max_inne
 
 
 @pytest.mark.parametrize("key", ["max_outer", "max_inner"])
-@pytest.mark.parametrize("value", ["0.5", "2.7", "12.0", "0", "-3"])
+@pytest.mark.parametrize("value", ["0.5", "2.7", "12.0", "0", "-3", "true", "abc"])
 def test_solver_budgets_must_be_positive_integers(key, value):
     # a fractional budget used to be truncated: max_outer 0.5 ran no outer iteration
     with pytest.raises(ConfigError) as err:
@@ -99,7 +99,7 @@ def test_solver_budgets_must_be_positive_integers(key, value):
 
 
 @pytest.mark.parametrize("key", ["rho0", "outer_tol", "feas_tol"])
-@pytest.mark.parametrize("value", [".inf", ".nan", "-.inf"])
+@pytest.mark.parametrize("value", [".inf", ".nan", "-.inf", "true", "abc", "'1.0'"])
 def test_solver_tolerances_must_be_finite(key, value):
     # feas_tol: .inf used to certify an infeasible shape as converged
     with pytest.raises(ConfigError) as err:

@@ -46,6 +46,14 @@ def test_shape_csv_rejects_nonuniform(tmp_path):
         load_shape_csv(path)
 
 
+@pytest.mark.parametrize("rows", ["0,1,\n1,0.5\n", "0,1,\n1,0.5,x\n"], ids=["short", "not_a_number"])
+def test_fourier_csv_names_a_malformed_line(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("k,a,b\n" + rows)
+    with pytest.raises(GeometryError, match="line 3"):
+        load_fourier_csv(path)
+
+
 def test_history_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "history.csv"
     export_history_csv([], path)

@@ -16,6 +16,7 @@ from convexfit.fourier import (
     truncate_container,
 )
 from convexfit.geometry import Disk, GeometryError, named_container, support_eval
+from convexfit.solver import SolverParams, feasibility_bound, violation
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -158,11 +159,13 @@ class TestNewtonSeed:
 
     The builder keeps the normal matrix of the last (active rows, rho) and
     takes the gap from the objective's last point; a stale copy of either
-    would show as a residual here."""
+    would show as a residual here.  Below p = 2 the objective's weights are
+    the proximal floor w / ref^2, as in the nodal seed."""
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 10.0])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_inverts_dense_reference(self, monkeypatch, seed):
-        prob = FourierProblem(SQUARE, n_f=8, m=64, q=128, p=10.0, alpha=0.7)
+    def test_inverts_dense_reference(self, monkeypatch, seed, p):
+        prob = FourierProblem(SQUARE, n_f=8, m=64, q=128, p=p, alpha=0.7)
         seen = {}
 
         def capture(nlp, starts, *args):
@@ -172,7 +175,7 @@ class TestNewtonSeed:
         monkeypatch.setattr(fourier, "run_multistart", capture)
         with pytest.raises(RuntimeError, match="captured"):
             solve_fourier(prob, seeds=0)
-        nlp, rho, p = seen["nlp"], 10.0, prob.p
+        nlp, rho = seen["nlp"], 10.0
         rng = np.random.default_rng(seed)
         x = seen["anchor"] + 1e-3 * rng.standard_normal(nlp.dim)
         masks = [rng.uniform(size=nlp.n_ineq) < 0.5 for _ in range(2)]
@@ -184,10 +187,14 @@ class TestNewtonSeed:
 
         B = basis_matrix(prob.quadrature_angles, prob.n_f)
         w = 2 * np.pi / prob.q
-        raw = np.maximum(prob.container_on_quadrature - B @ x, 0.0)
-        # the objective divides the gap by a scale; read it back from the value
-        ref = (w * np.sum(raw**p) / nlp.objective(x)[0]) ** (1.0 / p)
-        d = p * (p - 1.0) * w / ref**2 * (raw / ref) ** (p - 2.0)
+        hq = prob.container_on_quadrature
+        # the gap's scale: the anchor's largest gap
+        ref = float(np.max(hq - B @ seen["anchor"]))
+        if p < 2.0:
+            d = np.full(prob.q, w / ref**2)
+        else:
+            gap = np.maximum(hq - B @ x, 0.0) / ref
+            d = p * (p - 1.0) * w / ref**2 * gap ** (p - 2.0)
         for act, step in zip(masks, cold):
             A = nlp.ineq_matrix[act]
             H = (B.T * d) @ B + rho * A.T @ A + rho * np.outer(eg, eg)
@@ -262,3 +269,21 @@ class TestSolve:
         assert res.samples.n == 96
         a, b = res.fourier_coefficients
         assert a.size == 7 and b.size == 6
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_pentagon_below_p2_is_solved_from_its_anchor(self, monkeypatch, p):
+        # with no objective curvature in the seed, no start reached the feasible set here
+        prob = FourierProblem(named_container("pentagon"), n_f=12, p=p, alpha=0.3)
+        seen, delegate = {}, fourier.run_multistart
+
+        def spy(nlp, starts, params, energy_fn):
+            seen["nlp"], seen["anchor"], seen["energy_fn"] = nlp, starts[0], energy_fn
+            return delegate(nlp, starts, params, energy_fn)
+
+        monkeypatch.setattr(fourier, "run_multistart", spy)
+        res = solve_fourier(prob, seeds=1)
+        nlp = seen["nlp"]
+        x = np.concatenate(res.fourier_coefficients)
+        assert res.status == "converged"
+        assert violation(nlp, x)[0] <= feasibility_bound(nlp, SolverParams())
+        assert res.energy <= seen["energy_fn"](seen["anchor"])

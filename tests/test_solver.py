@@ -219,9 +219,10 @@ def test_a_problem_without_seed_is_refused():
 
 
 @pytest.mark.parametrize("name", ["rho0", "outer_tol", "feas_tol"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "abc", None])
 def test_tolerances_must_be_finite_and_positive(name, value):
-    # feas_tol = inf used to certify infeasible shapes as converged
+    # feas_tol = inf used to certify infeasible shapes as converged; True
+    # used to pass as 1.0, and a string raised numpy's TypeError
     with pytest.raises(ValueError, match=name):
         SolverParams(**{name: value})
 
