@@ -55,8 +55,8 @@ def _study_config(cfg, alphas=None, ps=None):
     return StudyConfig(
         container=cfg.container,
         container_name="run",
-        alphas=alphas or (cfg.alpha,),
-        ps=ps or (cfg.p,),
+        alphas=tuple(alphas or (cfg.alpha,)),
+        ps=tuple(ps or (cfg.p,)),
         n=cfg.n,
         n_f=cfg.n_f,
         m=cfg.m,
@@ -93,21 +93,20 @@ def _cmd_solve(cfg):
         prob = FourierProblem(cfg.container, n_f=cfg.n_f, m=cfg.m, q=cfg.q, p=cfg.p, alpha=cfg.alpha)
         warm = solve_fourier(prob, seeds=cfg.seeds, base_seed=cfg.base_seed, params=params, n_samples=cfg.n)
         _emit_solve(cfg, warm, "fourier")
-    if cfg.method != "fourier":  # nodal, both or minimax
-        p = math.inf if cfg.method == "minimax" else cfg.p
+    if cfg.method != "fourier":  # nodal or both
         result = solve_nodal(
-            NodalProblem(cfg.container, n=cfg.n, p=p, alpha=cfg.alpha),
+            NodalProblem(cfg.container, n=cfg.n, p=cfg.p, alpha=cfg.alpha),
             init=warm.samples if warm else None, seeds=cfg.seeds,
             base_seed=cfg.base_seed, params=params,
         )
-        _emit_solve(cfg, result, "minimax" if math.isinf(p) else "nodal")
+        _emit_solve(cfg, result, "minimax" if math.isinf(cfg.p) else "nodal")
     return 0
 
 
 def _cmd_sweep_p(cfg):
     if cfg.ps is None:
         raise ConfigError("sweep-p requires the `ps` list", "ps")
-    rows, _ = gamma_sweep(_study_config(cfg, ps=tuple(cfg.ps)))
+    rows, _ = gamma_sweep(_study_config(cfg, ps=cfg.ps))
     for row in rows:
         print(
             f"p={row['p']:g} sigma={row['sigma_normalized']:.9g} "
@@ -119,7 +118,7 @@ def _cmd_sweep_p(cfg):
 def _cmd_sweep_alpha(cfg):
     if cfg.alphas is None:
         raise ConfigError("sweep-alpha requires the `alphas` list", "alphas")
-    rows = shape_gallery(_study_config(cfg, alphas=tuple(cfg.alphas)))
+    rows = shape_gallery(_study_config(cfg, alphas=cfg.alphas, ps=cfg.ps))
     for row in rows:
         print(f"p={row['p']:g} alpha={row['alpha']:g} energy={row['energy']:.9g} status={row['status']}")
     return 0
@@ -143,7 +142,7 @@ def _cmd_compare(cfg):
 def _cmd_f_curve(cfg):
     if cfg.alphas is None:
         raise ConfigError("f-curve requires the `alphas` list", "alphas")
-    rows, violation = f_curve(_study_config(cfg, alphas=tuple(cfg.alphas)))
+    rows, violation = f_curve(_study_config(cfg, alphas=cfg.alphas))
     for row in rows:
         print(f"alpha={row['alpha']:g} f={row['f_value']:.9g} status={row['status']}")
     print(f"max_upward_violation = {violation:.3e}")

@@ -28,7 +28,7 @@ from .solver import SolverParams
 
 SCHEMA_VERSION = 1
 
-METHODS = ("fourier", "nodal", "minimax", "both")
+METHODS = ("fourier", "nodal", "both")
 
 
 class ConfigError(ValueError):

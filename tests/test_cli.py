@@ -32,10 +32,19 @@ def test_validate_ok(tmp_path, capsys):
     assert "schema_version" in capsys.readouterr().out
 
 
-def test_config_error_exit_code(tmp_path, capsys):
-    cfg = write(tmp_path, "bad.yaml", "container: disk\nalpha: 2\n")
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("alpha: 2\n", "alpha"),
+        # p: inf selects the minimax solve; `method: minimax` used to override a finite p
+        ("p: 2\nmethod: minimax\n", "method"),
+    ],
+    ids=["alpha", "method_minimax"],
+)
+def test_config_error_exit_code(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, "bad.yaml", f"container: disk\n{text}")
     assert main(["solve", cfg]) == 2
-    assert "alpha" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
 
 def test_bad_alphas_entry_exit_code(tmp_path, capsys):
@@ -137,6 +146,19 @@ def test_sweep_p_and_f_curve(tmp_path, outdir, capsys):
     assert "sigma" in out and "max_upward_violation" in out
     assert (outdir / "gamma_run.csv").exists()
     assert (outdir / "fcurve_run.csv").exists()
+
+
+def test_sweep_alpha_solves_the_p_by_alpha_grid(tmp_path, outdir):
+    cfg = write(
+        tmp_path,
+        "gallery.yaml",
+        f"container: square\nps: [1, 2]\nalphas: [0.3, 0.5]\nn: 32\nseeds: 1\noutput_dir: {outdir}\n",
+    )
+    assert main(["sweep-alpha", cfg]) == 0
+    with open(outdir / "gallery_run.csv") as table:
+        cells = [(float(row["p"]), float(row["alpha"])) for row in csv.DictReader(table)]
+    assert cells == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
+    assert len(list(outdir.glob("*.svg"))) == 4
 
 
 def test_export_svg_overlays_shapes(tmp_path, outdir):

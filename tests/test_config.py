@@ -39,7 +39,7 @@ p: inf
 alpha: 0.3
 alphas: [0.1, 0.5, 0.9]
 ps: [1, 2, inf]
-method: minimax
+method: nodal
 n: 64
 seeds: 2
 solver: {rho0: 5.0, max_outer: 12}

@@ -54,6 +54,22 @@ def test_fourier_csv_names_a_malformed_line(tmp_path, rows):
         load_fourier_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("0,1,\n2,0.1,0\n1,0.2,0\n", 3),  # used to load as a = [1, 0.1, 0.2]
+        ("0,1,\n1,0.2,0\n1,0.1,0\n", 4),  # used to load as order 2
+        ("0,1,\n2,0.1,0\n", 3),  # used to load the k = 2 coefficient at k = 1
+    ],
+    ids=["out_of_order", "repeated", "gap"],
+)
+def test_fourier_csv_rejects_a_k_column_that_does_not_count_up(tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("k,a,b\n" + rows)
+    with pytest.raises(GeometryError, match=f"line {line}: expected k = {line - 2}"):
+        load_fourier_csv(path)
+
+
 def test_history_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "history.csv"
     export_history_csv([], path)
