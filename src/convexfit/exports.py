@@ -126,6 +126,8 @@ def export_fourier_csv(shape, path):
 def load_fourier_csv(path):
     """Read a `k,a,b` file back into a FourierShape; `k` must run 0, 1, ..., order."""
     rows = _read_rows(path, FOURIER_HEADER)
+    if not rows:
+        raise GeometryError(f"{path}: no coefficient rows")
     for expected, ((number, _), k) in enumerate(zip(rows, _column(path, rows, 0))):
         if k != expected:
             raise GeometryError(f"{path}, line {number}: expected k = {expected}, got {k:g}")

@@ -4,15 +4,22 @@ Every start is solved independently with a deterministic RNG stream derived
 from (base_seed, start_index); raw starts and polished points are pooled and
 the best feasible candidate wins.  A feasible warm start can therefore never
 be beaten by a worse "solution": descent only polishes it downward.
+
+The starts are solved one per CPU: `_solve_starts` deals them to this
+process and to forked children.  A solve is a pure function of the problem,
+its start and the parameters, so every result is bitwise that of the serial
+loop, whatever the number of processes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import NlpResult, SolverAbort, SolverParams, feasibility_bound, solve_nlp, violation
+from .solver import NlpResult, SolverAbort, SolverParams, check_kkt, feasibility_bound, solve_nlp, violation
 
 
 class InfeasibleError(RuntimeError):
@@ -32,9 +39,10 @@ class Winner:
     `start` is the index of the start it came from, and `kept_raw` is true
     when that start's raw point beat its solved one.  `result` is the
     start's NlpResult, None when its solve aborted.  `status` is the
-    solver's for a solved point and "max_iter" for a kept raw point, whose
-    optimality is not certified.  `message` joins the aborts of every start
-    and, unless the status is "converged", why the winner is not certified.
+    solver's for a solved point; a kept raw point is "converged" when the
+    KKT check certifies it with its solve's multipliers, else "max_iter".
+    `message` joins the aborts of every start and, unless the status is
+    "converged", why the winner is not certified.
     """
 
     x: np.ndarray
@@ -44,6 +52,113 @@ class Winner:
     result: NlpResult | None
     status: str
     message: str
+
+
+def _workers(n_starts):
+    """Processes to solve n_starts in: one per CPU of the affinity mask.
+
+    1 (no fork) for a single start, off Linux, and while this process runs
+    more than one OS thread, such as a multithreaded BLAS's: a forked child
+    inherits only the forking thread, and locks the others held stay held.
+    """
+    if n_starts < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return min(n_starts, cpus) if threads == 1 else 1
+
+
+def _portable(exc):
+    """`exc` if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _serve(read, write, solve, indices):
+    """Forked child: solve `indices` and pickle the reply into fd `write`.
+
+    The reply is (outcomes, None), or (outcomes so far, (start, exception,
+    traceback text)) when a start raised something other than SolverAbort.
+    The child exits here, with code 1 and no reply on an interrupt or a
+    failed write, and never returns into its caller's frames.
+    """
+    code = 1
+    try:
+        os.close(read)
+        outcomes, failure = [], None
+        try:
+            for i in indices:
+                outcomes.append(solve(i))
+        except Exception as exc:  # the parent raises it again
+            import traceback  # here, not at the top: it adds 0.35 MB to every process's peak RSS
+
+            failure = (i, _portable(exc), traceback.format_exc())
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((outcomes, failure), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _solve_starts(nlp, starts, params):
+    """Each start's NlpResult, or the SolverAbort its solve raised, in order.
+
+    The starts are dealt round-robin over `_workers` processes: this one
+    keeps start 0, and each forked child sends its outcomes back pickled
+    through a pipe.  Another exception in a start propagates; a child's is
+    raised again here, chained to a RuntimeError that names its start and
+    carries the child's traceback.  No child outlives the call.
+    """
+
+    def solve(i):
+        try:
+            return solve_nlp(nlp, starts[i], params)
+        except SolverAbort as exc:
+            return exc.with_traceback(None)  # keeps no frames alive
+
+    workers = _workers(len(starts))
+    children = []  # (pid, read end of its pipe, its start indices)
+    replies = None
+    try:
+        for first in range(1, workers):
+            indices = range(first, len(starts), workers)
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(read, write, solve, indices)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), indices))
+        outcomes = [None] * len(starts)
+        for i in range(0, len(starts), workers):
+            outcomes[i] = solve(i)
+        # read each reply to its end before reaping: a reply larger than
+        # the pipe's buffer blocks its writer until it is read
+        replies = [pipe.read() for _, pipe, _ in children]
+    finally:
+        codes = []
+        for pid, pipe, _ in children:
+            pipe.close()
+            if replies is None:  # this process raised: stop the children
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (_, _, indices), reply, code in zip(children, replies, codes):
+        if code != 0:
+            raise RuntimeError(f"the worker process for starts {list(indices)} exited with code {code}")
+        done, failure = pickle.loads(reply)
+        if failure is not None:
+            index, exc, text = failure
+            raise exc from RuntimeError(f"start {index} raised in a worker process:\n{text}")
+        for i, outcome in zip(indices, done):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def run_multistart(nlp, starts, params, energy_fn):
@@ -62,11 +177,9 @@ def run_multistart(nlp, starts, params, energy_fn):
     candidates = []  # (energy, start, kept_raw, x, result)
     failures = []
     closest = np.inf  # smallest violation of a solved point
-    for idx, x0 in enumerate(starts):
-        try:
-            result = solve_nlp(nlp, x0, params)
-        except SolverAbort as exc:
-            failures.append(f"start {idx}: {exc}")
+    for idx, (x0, result) in enumerate(zip(starts, _solve_starts(nlp, starts, params))):
+        if isinstance(result, SolverAbort):
+            failures.append(f"start {idx}: {result}")
             result = None
         else:
             closest = min(closest, result.max_violation)
@@ -88,10 +201,15 @@ def run_multistart(nlp, starts, params, energy_fn):
     if result is None:
         status, reason = "max_iter", f"start {idx} kept its raw point: the solve aborted"
     elif kept_raw:
-        status, reason = "max_iter", (
-            f"start {idx} kept its raw point: the solved point ({result.reason}) "
-            "was worse or infeasible"
-        )
+        # certified by solve_nlp's own test, with its solve's multipliers
+        report = check_kkt(nlp, x, result.ineq_multipliers, result.eq_multiplier)
+        if report["stationarity"] <= params.outer_tol and report["primal"] <= feas:
+            status, reason = "converged", ""
+        else:
+            status, reason = "max_iter", (
+                f"start {idx} kept its raw point: the solved point ({result.reason}) "
+                "was worse or infeasible"
+            )
     elif result.status == "converged":
         status, reason = "converged", ""
     else:

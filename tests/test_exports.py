@@ -1,6 +1,7 @@
 """CSV/SVG exporters: formats, determinism, atomicity."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ def test_fourier_csv_rejects_a_k_column_that_does_not_count_up(tmp_path, rows, l
     path = tmp_path / "bad.csv"
     path.write_text("k,a,b\n" + rows)
     with pytest.raises(GeometryError, match=f"line {line}: expected k = {line - 2}"):
+        load_fourier_csv(path)
+
+
+def test_fourier_csv_without_rows_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("k,a,b\n")
+    with pytest.raises(GeometryError, match=f"^{re.escape(str(path))}: no coefficient rows$"):
         load_fourier_csv(path)
 
 

@@ -347,3 +347,19 @@ def test_exit_reason_reaches_the_message():
     assert kept.status == "max_iter"
     assert kept.message.startswith("start 0 kept its raw point")
     assert solve_nodal(shape, seeds=0).message == ""
+
+
+def test_a_kept_raw_start_is_certified_at_a_kkt_point(monkeypatch):
+    # the gamma sweep's p = inf cell: the anchor beats its solved point, and
+    # the KKT check with that solve's multipliers certifies it
+    winners = []
+
+    def spy(*args):
+        winners.append(run_multistart(*args))
+        return winners[-1]
+
+    monkeypatch.setattr(nodal, "run_multistart", spy)
+    res = solve_nodal(NodalProblem(named_container("disk"), n=128, p=math.inf, alpha=0.25), seeds=0)
+    assert (winners[0].start, winners[0].kept_raw) == (0, True)
+    assert (res.status, res.message) == ("converged", "")
+    assert res.energy == pytest.approx(0.5, abs=1e-9)
