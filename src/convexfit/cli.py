@@ -19,7 +19,7 @@ from .exports import (
     export_history_csv,
     export_study_csv,
     export_svg,
-    load_shape_csv,
+    load_overlay_csv,
 )
 from .experiments import (
     StudyConfig,
@@ -153,7 +153,8 @@ def _cmd_equivalence(cfg):
     report = equivalence_probe(_study_config(cfg))
     print(
         f"f_value={report['f_value']:.9g} target_area={report['target_area']:.9g} "
-        f"recovered_area={report['recovered_area']:.9g} relative_gap={report['relative_gap']:.3e}"
+        f"recovered_area={report['recovered_area']:.9g} relative_gap={report['relative_gap']:.3e} "
+        f"blended_energy={report['blended_energy']:.9g} stage1_beaten={report['stage1_beaten']}"
     )
     return 0
 
@@ -183,7 +184,7 @@ def _cmd_validate(cfg):
 
 
 def _cmd_export_svg(cfg, *shape_paths):
-    shapes = [load_shape_csv(path) for path in shape_paths]
+    shapes = [load_overlay_csv(path, cfg.n) for path in shape_paths]
     path = _out(cfg, "shapes.svg")
     export_svg(cfg.container, shapes, path)
     print(f"wrote {path}")
@@ -216,7 +217,7 @@ def main(argv=None):
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="YAML configuration file")
         cmd.set_defaults(handler=handler, shapes=[])
-    sub.choices["export-svg"].add_argument("shapes", nargs="*", help="shape CSV files to overlay")
+    sub.choices["export-svg"].add_argument("shapes", nargs="*", help="shape or coefficient CSVs to overlay")
 
     args = parser.parse_args(argv)
     try:

@@ -37,6 +37,7 @@ from .nodal import (
     nodal_area,
     solve_nodal,
 )
+from .solver import SolverParams
 from . import exports
 
 
@@ -226,6 +227,21 @@ def f_curve(cfg):
 EQUIVALENCE_COLUMNS = ["p", "alpha", "f_value", "target_area", "recovered_area", "area_gap"]
 
 
+def _blend_to_area(h, container_values, target):
+    """(1 - lam) h + lam h_C with lam in [0, 1] bisected to the area `target`
+    (lam = 0 when h already reaches it)."""
+    if nodal_area(h)[0] >= target:
+        return h
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if nodal_area((1.0 - mid) * h + mid * container_values)[0] >= target:
+            hi = mid
+        else:
+            lo = mid
+    return (1.0 - hi) * h + hi * container_values
+
+
 def equivalence_probe(cfg):
     """Solve min-energy-at-area, then min-area-at-that-energy, and compare.
 
@@ -233,6 +249,12 @@ def equivalence_probe(cfg):
     objective pinned at the stage-one optimum (for p = inf: the box
     constraint h >= h_container - t*), convexity and inclusion.  Reports the
     recovered area against the stage-one target.
+
+    It also checks stage one globally.  Blending the stage-two shape toward
+    the container to the target area keeps it convex and inside, and scales
+    its gap, hence its energy, by 1 - lam.  `blended_energy` is that
+    energy; `stage1_beaten` is true when it lies below the stage-one
+    optimum by more than feas_tol * max(1, f), so stage one was not global.
     """
     p, alpha = cfg.ps[0], cfg.alphas[0]
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
@@ -269,6 +291,8 @@ def equivalence_probe(cfg):
     except InfeasibleError as exc:
         raise InfeasibleError(f"area-minimization stage: {exc}") from None
     area = winner.energy
+    blended = energy_of(_blend_to_area(winner.x, prob.container_values, prob.target_area), prob)
+    feas_tol = (cfg.params or SolverParams()).feas_tol
     report = {
         "p": p,
         "alpha": alpha,
@@ -277,6 +301,8 @@ def equivalence_probe(cfg):
         "recovered_area": area,
         "area_gap": abs(area - prob.target_area),
         "relative_gap": abs(area - prob.target_area) / max(prob.container_area_discrete, 1e-300),
+        "blended_energy": blended,
+        "stage1_beaten": blended < f_val - feas_tol * max(1.0, f_val),
         "stage1": stage1,
         "stage2_samples": SupportSamples(winner.x),
     }

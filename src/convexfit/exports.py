@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .fourier import FourierShape
+from .fourier import FourierShape, fourier_to_nodal
 from .geometry import (
     GeometryError,
     SupportSamples,
@@ -132,6 +132,17 @@ def load_fourier_csv(path):
         if k != expected:
             raise GeometryError(f"{path}, line {number}: expected k = {expected}, got {k:g}")
     return FourierShape(_column(path, rows, 1), _column(path, rows[1:], 2))
+
+
+def load_overlay_csv(path, n):
+    """A shape CSV as SupportSamples, or a coefficient CSV sampled on the n-point nodal grid."""
+    with open(path) as handle:
+        header = handle.readline().strip()
+    if header == FOURIER_HEADER:
+        return fourier_to_nodal(load_fourier_csv(path), n)
+    if header != SHAPE_HEADER:
+        raise GeometryError(f"{path}: expected header {SHAPE_HEADER!r} or {FOURIER_HEADER!r}, got {header!r}")
+    return load_shape_csv(path)
 
 
 def export_svg(container, shapes, path, size=640):

@@ -83,7 +83,12 @@ class FourierShape:
 
 @dataclass
 class FourierProblem:
-    """Container, truncation order, constraint/quadrature grids, p, alpha."""
+    """Container, truncation order, constraint/quadrature grids, p, alpha.
+
+    Each basis is evaluated once, here, and shared read-only: `constraint_rows`
+    (inclusion over negated convexity rows, the NLP's A x <= b) and
+    `quadrature_basis`.
+    """
 
     container: object
     n_f: int = 32
@@ -110,19 +115,20 @@ class FourierProblem:
         self.quadrature_angles = TWO_PI * np.arange(self.q) / self.q
         self.container_on_constraints = support_eval(self.container, self.constraint_angles)
         self.container_on_quadrature = support_eval(self.container, self.quadrature_angles)
+        rows = np.empty((2 * self.m, self.dim))
+        rows[: self.m] = basis_matrix(self.constraint_angles, self.n_f)
+        factor = _area_factor(self.n_f)  # curvature rows scale the columns by (1, 1-j^2, 1-j^2)
+        np.multiply(rows[: self.m], -np.concatenate([[1.0], factor, factor]), out=rows[self.m :])
+        self.constraint_rows, self.quadrature_basis = rows, basis_matrix(self.quadrature_angles, self.n_f)
+        for shared in (self.constraint_rows, self.quadrature_basis):
+            shared.setflags(write=False)
 
 
-def basis_matrix(angles, n_f, curvature=False):
-    """Rows [1, cos(j t), sin(j t)] (times (1 - j^2) when `curvature`)."""
+def basis_matrix(angles, n_f):
+    """Rows [1, cos(j t), sin(j t)], j = 1..n_f, one per angle."""
     angles = np.asarray(angles, dtype=float)
-    j = np.arange(1, n_f + 1)
-    jt = np.multiply.outer(angles, j)
-    cos, sin = np.cos(jt), np.sin(jt)
-    if curvature:
-        factor = 1.0 - j.astype(float) ** 2
-        cos = cos * factor
-        sin = sin * factor
-    return np.hstack([np.ones((angles.size, 1)), cos, sin])
+    jt = np.multiply.outer(angles, np.arange(1, n_f + 1))
+    return np.hstack([np.ones((angles.size, 1)), np.cos(jt), np.sin(jt)])
 
 
 @lru_cache(maxsize=16)
@@ -178,10 +184,10 @@ def assemble_linear_constraints(prob):
 
     Inclusion row k reads  h(theta_k) <= h_C(theta_k); convexity row k reads
     a_0 + sum (1-j^2)(a_j cos + b_j sin) >= 0 (degree-1 terms drop out).
+    The inclusion block is a read-only view of `prob.constraint_rows`.
     """
-    inc = basis_matrix(prob.constraint_angles, prob.n_f)
-    cvx = basis_matrix(prob.constraint_angles, prob.n_f, curvature=True)
-    return (inc, prob.container_on_constraints.copy()), (cvx, np.zeros(prob.m))
+    rows = prob.constraint_rows
+    return (rows[: prob.m], prob.container_on_constraints.copy()), (-rows[prob.m :], np.zeros(prob.m))
 
 
 @lru_cache(maxsize=16)
@@ -195,6 +201,8 @@ def _area_factor(n_f):
 def fourier_area(shape):
     """Exact area quadratic form and its gradient in coefficient layout."""
     x = shape.to_vector() if isinstance(shape, FourierShape) else np.asarray(shape, float)
+    if x.size % 2 == 0:
+        raise GeometryError(f"coefficient vector of length {x.size}: need 2 * order + 1 entries")
     n_f = (x.size - 1) // 2
     factor = _area_factor(n_f)
     a0, aj, bj = x[0], x[1 : n_f + 1], x[n_f + 1 :]
@@ -210,7 +218,10 @@ def fourier_objective(shape, prob):
     objective; the reported energy is value**(1/p).
     """
     x = shape.to_vector() if isinstance(shape, FourierShape) else np.asarray(shape, float)
-    B = basis_matrix(prob.quadrature_angles, prob.n_f)
+    if x.size != prob.dim:
+        order = (x.size - 1) // 2
+        raise GeometryError(f"coefficients of order {order} do not fit the problem's order {prob.n_f}")
+    B = prob.quadrature_basis
     value, grad, _ = powered_gap(B @ x, prob.container_on_quadrature, prob.p)
     return value, B.T @ grad
 
@@ -233,13 +244,6 @@ def truncate_container(container, n_f, grid=TRUNCATION_GRID):
     a = np.concatenate([[c[0].real], 2.0 * c[1 : n_f + 1].real])
     b = -2.0 * c[1 : n_f + 1].imag
     return FourierShape(a, b)
-
-
-def _translation_vector(prob, z):
-    x = np.zeros(prob.dim)
-    x[1] = z[0]
-    x[prob.n_f + 1] = z[1]
-    return x
 
 
 def _blend_feasible(x, deep, rows, rhs):
@@ -267,38 +271,32 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     """
     t0 = time.perf_counter()
 
-    (inc_rows, inc_rhs), (cvx_rows, _) = assemble_linear_constraints(prob)
-    rows = np.vstack([inc_rows, -cvx_rows])
-    rhs = np.concatenate([inc_rhs, np.zeros(prob.m)])
+    rows, m = prob.constraint_rows, prob.m
+    rhs = np.concatenate([prob.container_on_constraints, np.zeros(m)])
 
-    z = interior_point(prob.container)
-    margin = float(np.min(prob.container_on_constraints - inc_rows @ _translation_vector(prob, z)))
+    shift = np.zeros(prob.dim)  # the interior point z as a translation (degree-1 terms)
+    shift[[1, prob.n_f + 1]] = interior_point(prob.container)
+    margin = float(np.min(prob.container_on_constraints - rows[:m] @ shift))
     if margin <= 0:
         raise InfeasibleError("interior point has no margin on the constraint grid")
-    deep = _translation_vector(prob, z)
+    deep = shift.copy()
     deep[0] = 0.5 * margin
 
     trunc = truncate_container(prob.container, prob.n_f).to_vector()
     area_trunc = fourier_area(trunc)[0]
     s = math.sqrt(max(prob.target_area, 0.0) / area_trunc)
-    anchor = s * trunc + (1.0 - s) * _translation_vector(prob, z)
+    anchor = s * trunc + (1.0 - s) * shift
     anchor = _blend_feasible(anchor, deep, rows, rhs)
 
     coeff_scale = max(float(np.max(np.abs(trunc))), 1e-12)
     decay = 1.0 / (1.0 + np.arange(1, prob.n_f + 1, dtype=float)) ** 2
+    weights = np.concatenate([[1.0], decay, decay])
     starts = [anchor]
     for i in range(seeds):
-        rng = np.random.default_rng(seed_key(base_seed, i))
-        noise = np.concatenate(
-            [
-                rng.uniform(-1.0, 1.0, 1),
-                rng.uniform(-1.0, 1.0, prob.n_f) * decay,
-                rng.uniform(-1.0, 1.0, prob.n_f) * decay,
-            ]
-        )
+        noise = np.random.default_rng(seed_key(base_seed, i)).uniform(-1.0, 1.0, prob.dim) * weights
         starts.append(_blend_feasible(anchor + 0.2 * coeff_scale * noise, deep, rows, rhs))
 
-    B = basis_matrix(prob.quadrature_angles, prob.n_f)
+    B = prob.quadrature_basis
     p = prob.p
     model_objective, curvature = gap_model(
         prob.container_on_quadrature, p, B @ anchor, container_scale(prob.container)
@@ -340,9 +338,8 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     shape = FourierShape.from_vector(x)
     powered = fourier_objective(x, prob)[0]
     area = fourier_area(x)[0]
-    row_violation = float(np.max(rows @ x - rhs, initial=0.0))
-    inc_gap = prob.container_on_constraints - inc_rows @ x
-    cvx_val = cvx_rows @ x
+    residual = rows @ x - rhs
+    row_violation = float(np.max(residual, initial=0.0))
     return SolveResult.from_winner(
         winner,
         note=f"blended row violation {row_violation:.1e}" if row_violation > 0 else "",
@@ -352,8 +349,8 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
         p=p,
         area=area,
         area_residual=(area - prob.target_area) / area_scale,
-        max_inclusion_violation=float(np.max(-inc_gap, initial=0.0)),
-        min_convexity_residual=float(np.min(cvx_val)),
+        max_inclusion_violation=float(np.max(residual[:m], initial=0.0)),
+        min_convexity_residual=-float(np.max(residual[m:])),
         wall_time=time.perf_counter() - t0,
         base_seed=base_seed,
         n_starts=len(starts),

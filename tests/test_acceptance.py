@@ -124,7 +124,8 @@ def test_criterion_3_oracle_equivalence():
 
     text = _fixture_lines(entries)
     if os.path.exists(FIXTURE_PATH):
-        assert open(FIXTURE_PATH).read() == text, "oracle fixtures drifted"
+        with open(FIXTURE_PATH) as fixture:
+            assert fixture.read() == text, "oracle fixtures drifted"
     else:
         exports.atomic_write_text(FIXTURE_PATH, text)
     report(3, "; ".join(details))

@@ -173,6 +173,38 @@ def test_export_svg_overlays_shapes(tmp_path, outdir):
     assert (outdir / "shapes.svg").exists()
 
 
+def test_equivalence_line_reports_the_blend(tmp_path, capsys, outdir):
+    cfg = write(
+        tmp_path,
+        "eq.yaml",
+        f"container: disk\np: 4\nalpha: 0.25\nn: 48\nseeds: 2\noutput_dir: {outdir}\n",
+    )
+    assert main(["equivalence", cfg]) == 0
+    assert re.search(r" blended_energy=0\.66429\d* stage1_beaten=True$", capsys.readouterr().out, re.M)
+    with open(outdir / "equivalence_run.csv") as table:
+        assert table.readline() == "p,alpha,f_value,target_area,recovered_area,area_gap\n"
+
+
+def test_export_svg_overlays_a_fourier_coefficient_file(tmp_path, outdir):
+    cfg = write(
+        tmp_path,
+        "fourier.yaml",
+        "container: square\np: 2\nalpha: 0.5\nmethod: fourier\nn: 32\nn_f: 6\nm: 64\nq: 64\n"
+        f"seeds: 1\noutput_dir: {outdir}\n",
+    )
+    assert main(["solve", cfg]) == 0
+    assert main(["export-svg", cfg, str(outdir / "coefficients_fourier.csv")]) == 0
+    assert (outdir / "shapes.svg").exists()
+
+
+def test_export_svg_rejects_another_header(tmp_path, capsys, outdir):
+    cfg = write(tmp_path, "cfg.yaml", f"container: disk\noutput_dir: {outdir}\n")
+    table = write(tmp_path, "table.csv", "p,alpha\n2,0.5\n")
+    assert main(["export-svg", cfg, table]) == 1
+    assert f"error: {table}: expected header 'theta,h' or 'k,a,b', got 'p,alpha'" in capsys.readouterr().err
+    assert not (outdir / "shapes.svg").exists()
+
+
 @pytest.mark.parametrize("row", ["0.0", "0.0,abc"])
 def test_malformed_shape_csv_is_an_error(tmp_path, capsys, outdir, row):
     # a short row used to end in an uncaught IndexError, a non-number in a ValueError

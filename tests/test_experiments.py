@@ -92,6 +92,22 @@ class TestEquivalenceProbe:
         report = equivalence_probe(cfg)
         assert report["recovered_area"] == pytest.approx(np.pi, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "n, stage1, blended, beaten",
+        [
+            # stage 2 ends at area 0.74667 < pi/4: its blend beats stage 1
+            (48, 0.6748984, 0.6642954, True),
+            # stage 2 recovers the target area: no blend, stage 1 stands
+            (64, 0.6554129, 0.6554129, False),
+        ],
+    )
+    def test_blend_to_the_target_area_checks_stage_one(self, n, stage1, blended, beaten):
+        cfg = small_cfg(DISK, "disk", alphas=(0.25,), ps=(4.0,), n=n, seeds=2)
+        report = equivalence_probe(cfg)
+        assert report["f_value"] == pytest.approx(stage1, abs=5e-7)
+        assert report["blended_energy"] == pytest.approx(blended, abs=5e-7)
+        assert report["stage1_beaten"] is beaten
+
     def test_infeasible_area_stage_is_named(self, monkeypatch):
         # x <= 0 and -x <= -1 in place of the area program; stage 1 keeps nodal's binding
         rows = NlpProblem(

@@ -1,4 +1,15 @@
-"""Fourier discretization: constraint assembly, area form, objective, solves."""
+"""Fourier discretization: constraint assembly, area form, objective, solves.
+
+    python tests/test_fourier.py   # prints the pinned cells' solve digests
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +27,17 @@ from convexfit.fourier import (
     truncate_container,
 )
 from convexfit.geometry import Disk, GeometryError, named_container, support_eval
+from convexfit.multistart import InfeasibleError
 from convexfit.solver import SolverParams, feasibility_bound, violation
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def workload_problem():
+    """The benchmark's Fourier cell: square, p = 10, alpha = 0.7, n_f = 32, m = 768."""
+    return FourierProblem(SQUARE, n_f=32, m=768, q=1024, p=10.0, alpha=0.7)
 
 
 def shape(a, b=None):
@@ -49,6 +67,54 @@ class TestConstraints:
         (_, rhs), _ = assemble_linear_constraints(prob)
         np.testing.assert_allclose(rhs, 1.0)  # constraint angles are the edge normals
 
+    @pytest.mark.parametrize(
+        "make",
+        [workload_problem, lambda: FourierProblem(named_container("pentagon"), n_f=3, m=10, q=16)],
+        ids=["workload", "pentagon"],
+    )
+    def test_rows_are_bitwise_the_per_block_construction(self, make):
+        # the inclusion basis and the curvature-scaled basis, each evaluated on its own
+        prob = make()
+        j = np.arange(1, prob.n_f + 1)
+        jt = np.multiply.outer(prob.constraint_angles, j)
+        cos, sin, factor = np.cos(jt), np.sin(jt), 1.0 - j.astype(float) ** 2
+        inc = np.hstack([np.ones((prob.m, 1)), cos, sin])
+        cvx = np.hstack([np.ones((prob.m, 1)), cos * factor, sin * factor])
+        (inc_rows, inc_rhs), (cvx_rows, cvx_rhs) = assemble_linear_constraints(prob)
+        assert np.array_equal(inc_rows, inc) and np.array_equal(cvx_rows, cvx)
+        assert np.array_equal(inc_rhs, support_eval(prob.container, prob.constraint_angles))
+        assert np.array_equal(cvx_rhs, np.zeros(prob.m))
+        assert np.array_equal(prob.constraint_rows, np.vstack([inc, -cvx]))
+        assert not prob.constraint_rows.flags.writeable
+
+    def test_each_basis_is_evaluated_once(self, monkeypatch):
+        calls = []
+        delegate = fourier.basis_matrix
+
+        def counted(angles, n_f):
+            calls.append(len(angles))
+            return delegate(angles, n_f)
+
+        monkeypatch.setattr(fourier, "basis_matrix", counted)
+        prob = FourierProblem(DISK, n_f=6, m=32, q=128, p=2.0, alpha=0.5)
+        res = solve_fourier(prob, seeds=1)
+        fourier_objective(np.concatenate(res.fourier_coefficients), prob)
+        assemble_linear_constraints(prob)
+        assert calls == [32, 128]  # the constraint grid and the quadrature grid
+
+    def test_workload_set_up_peak_memory(self):
+        # evaluated per use, with a stacked copy of the rows, the bases
+        # peaked at 3.11 MB here
+        params = SolverParams(max_outer=1, max_inner=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError):
+                solve_fourier(workload_problem(), seeds=0, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6e6
+
 
 class TestArea:
     def test_unit_disk(self):
@@ -60,6 +126,11 @@ class TestArea:
     def test_second_harmonic(self):
         value = fourier_area(shape([1.0, 0.0, 0.1]))[0]
         assert value == pytest.approx(np.pi - 1.5 * np.pi * 0.01)
+
+    @pytest.mark.parametrize("length", [0, 4])
+    def test_even_length_is_rejected(self, length):
+        with pytest.raises(GeometryError, match=f"length {length}"):
+            fourier_area(np.ones(length))
 
     def test_gradient_matches_finite_differences_exactly(self):
         rng = np.random.default_rng(3)
@@ -111,6 +182,11 @@ class TestObjective:
             e[i] = step
             fd = (fourier_objective(x + e, prob)[0] - fourier_objective(x - e, prob)[0]) / (2 * step)
             assert abs(fd - grad[i]) <= 1e-5 * scale
+
+    def test_order_mismatch_names_both_orders(self):
+        prob = FourierProblem(DISK, n_f=4, m=16, q=64, p=2.0, alpha=0.25)
+        with pytest.raises(GeometryError, match="order 2 do not fit the problem's order 4"):
+            fourier_objective(shape([1.0, 0.0, 0.0]), prob)
 
     def test_joint_translation_leaves_energy_unchanged(self):
         # moving container and shape by the same vector only shifts the
@@ -287,3 +363,77 @@ class TestSolve:
         assert res.status == "converged"
         assert violation(nlp, x)[0] <= feasibility_bound(nlp, SolverParams())
         assert res.energy <= seen["energy_fn"](seen["anchor"])
+
+
+# Digests of three solves, taken before the problem held its bases (see
+# `_solve_digests`), and of the float kernels they ran on (`_platform_probe`).
+PINNED_SOLVES = {
+    "square_p10": [
+        "11f278df62dd6ca23536c98510bd1cf9217e691d6db0bfd0bc84e7be719f6160",
+        "214ccc480ebad266c04aae840b4b747a41ba1966a8b285ccdf964d73b5def6e5",
+    ],
+    "disk_p2": [
+        "89e7dba75882f887b622526cb50b73d2c888d6b199810ccc334d0baa051e9957",
+        "6407c327497ba20126a3b24f847f3fe51ebf5401c49a60687265715a8edb6408",
+    ],
+    "pentagon_p1": [
+        "5bcd00286fd18f8dc97a10096e9738995baa5a43c8c47c6b6cef25282824442e",
+        "c214a359095471271cac4aa18ce828d38351296eba62c0d391d6930e5c03097f",
+    ],
+}
+PLATFORM_PROBE = "1de34d3473ca69ba40e4b2df7e2bd21d4b20a18cbbd481b824d4d917f98d24a5"
+
+
+def _platform_probe():
+    """Digest of the float kernels the solves rest on: trig and powers,
+    BLAS matrix-vector products, a LAPACK solve and the FFT.  Another CPU
+    or library build may round these differently, and then the solves too."""
+    from test_multistart import _digest
+
+    rng = np.random.default_rng(0)
+    B = basis_matrix(2 * np.pi * np.arange(1024) / 1024, 32)
+    w = rng.uniform(0.0, 1.0, 1024)
+    H = (B.T * w) @ B + np.eye(65)
+    return _digest([B, np.abs(B @ w[:65]) ** 9.5, B.T @ w, np.linalg.solve(H, w[:65]), np.fft.rfft(w)])
+
+
+def _solve_digests():
+    """{cell: (digest of the Winner, digest of the SolveResult without its wall time)}.
+
+    The Winner holds x, the multipliers, status, reason and every OuterRecord.
+    Run it in its own interpreter: it leaves `fourier.run_multistart` wrapped."""
+    from test_multistart import _digest
+
+    cells = {
+        "square_p10": (workload_problem(), {"seeds": 0}),
+        "disk_p2": (FourierProblem(DISK, n_f=8, m=48, q=128, p=2.0, alpha=0.4), {"seeds": 2}),
+        "pentagon_p1": (FourierProblem(named_container("pentagon"), n_f=12, p=1.0, alpha=0.3), {"seeds": 1}),
+    }
+    winners, delegate = [], fourier.run_multistart
+
+    def spy(*args):
+        winners.append(delegate(*args))
+        return winners[-1]
+
+    fourier.run_multistart = spy
+    out = {}
+    for name, (prob, kwargs) in cells.items():
+        res = dataclasses.replace(solve_fourier(prob, **kwargs), wall_time=0.0)
+        out[name] = [_digest(winners[-1]), _digest(res)]
+    return out
+
+
+def test_solves_are_bitwise_the_pinned_ones():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    pinned = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **pinned, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    if seen["probe"] != PLATFORM_PROBE:
+        pytest.skip("this platform rounds the probe kernels differently from the one pinned")
+    assert seen["solves"] == PINNED_SOLVES
+
+
+if __name__ == "__main__":
+    print(json.dumps({"probe": _platform_probe(), "solves": _solve_digests()}))
