@@ -246,9 +246,9 @@ def equivalence_probe(cfg):
     """Solve min-energy-at-area, then min-area-at-that-energy, and compare.
 
     The second stage minimizes the discrete area subject to the powered
-    objective pinned at the stage-one optimum (for p = inf: the box
-    constraint h >= h_container - t*), convexity and inclusion.  Reports the
-    recovered area against the stage-one target.
+    objective pinned at the stage-one optimum (for p = inf, and for f = 0
+    at any p: the box constraint h >= h_container - f), convexity and
+    inclusion.  Reports the recovered area against the stage-one target.
 
     It also checks stage one globally.  Blending the stage-two shape toward
     the container to the target area keeps it convex and inside, and scales
@@ -269,11 +269,10 @@ def equivalence_probe(cfg):
         area, grad = nodal_area(x)
         return area / area_scale, grad / area_scale
 
-    if math.isinf(p):
-        nlp = _nodal_nlp(
-            prob, area_objective, lambda x: area_hess, None,
-            gap_rows=-np.eye(n), gap_rhs=f_val - prob.container_values,
-        )
+    if math.isinf(p) or f_val == 0.0:
+        # at f = 0 every J_p pin says h = h_C, which box rows state linearly;
+        # a powered equality scaled by 1e-12 would swamp the Newton seed
+        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, None, gap_rhs=f_val - prob.container_values)
     else:
         target_powered = stage1.powered_value
         eq_scale = max(target_powered, 1e-12)

@@ -365,26 +365,6 @@ def reconstruct_boundary(h, tol=None):
     return np.column_stack([v * cos - hp * sin, v * sin + hp * cos])
 
 
-def chain_convexity_defect(chain):
-    """Most negative cross product of consecutive edge pairs (>= 0 if convex)."""
-    pts = np.asarray(chain, dtype=float)
-    e = np.roll(pts, -1, axis=0) - pts
-    return float(np.min(_cross2(e, np.roll(e, -1, axis=0))))
-
-
-def reconstruction_tolerance(chain):
-    """Chain-convexity tolerance for central-difference reconstructions.
-
-    Samples of bodies with corners reconstruct with O(diam^3 / N^3) concave
-    wobble where a stencil straddles a corner (measured on square, triangle
-    and pentagon samples); smooth bodies stay at rounding level.
-    """
-    pts = np.asarray(chain, dtype=float)
-    diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    n = len(pts)
-    return 1e-8 * max(1.0, diam) ** 2 + 8.0 * diam**3 / n**3
-
-
 def polygon_area(chain):
     """Shoelace area, positive for CCW chains."""
     pts = np.asarray(chain, dtype=float)

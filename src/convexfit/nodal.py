@@ -28,6 +28,7 @@ from .geometry import (
     _clip_halfplane,
     container_scale,
     convexity_residuals,
+    convexity_tolerance,
     gap_model,
     grid_constants,
     interior_point,
@@ -214,14 +215,15 @@ def _area_equality(prob):
     return equality
 
 
-def _nodal_nlp(prob, objective, obj_hess_diag, equality, gap_rows=None, gap_rhs=None):
+def _nodal_nlp(prob, objective, curvature, equality, gap_rhs=None, slack=False):
     """The nodal program as an NlpProblem, with its Newton seed attached.
 
-    Rows are inclusion h_j <= h_C(theta_j) and convexity c_j >= 0, then the
-    optional block `gap_rows` x <= `gap_rhs`, one row per node: the
-    epigraph rows h_C - h_j <= t (N + 1 columns, the slack t last) or box
-    rows h_j >= h_C - t (N columns).  Its column count sets the dimension.
-    `equality` (value, gradient) may be None.
+    Rows are inclusion h_j <= h_C(theta_j) and convexity c_j >= 0.  With
+    `gap_rhs`, one gap row per node follows: -h_j <= `gap_rhs`_j (box rows
+    h_j >= h_C - t for a fixed t), or with `slack` -h_j - t <= `gap_rhs`_j
+    over (h, t), the slack t last (epigraph rows h_C - h_j <= t).  These
+    are the rows `_h0_builder` assumes.  `curvature(x)` is the objective's
+    diagonal Hessian over h; `equality` (value, gradient) may be None.
     """
     n = prob.n
     eye = np.eye(n)
@@ -231,9 +233,9 @@ def _nodal_nlp(prob, objective, obj_hess_diag, equality, gap_rows=None, gap_rhs=
     a_cvx = -(shift_next + shift_prev - 2.0 * cos * eye)
     rows = np.vstack([eye, a_cvx])
     rhs = np.concatenate([prob.container_values, np.zeros(n)])
-    if gap_rows is not None:
-        rows = np.hstack([rows, np.zeros((2 * n, gap_rows.shape[1] - n))])
-        rows = np.vstack([rows, gap_rows])
+    if gap_rhs is not None:
+        k = int(slack)
+        rows = np.block([[rows, np.zeros((2 * n, k))], [-eye, -np.ones((n, k))]])
         rhs = np.concatenate([rhs, gap_rhs])
     nlp = NlpProblem(
         dim=rows.shape[1],
@@ -242,7 +244,7 @@ def _nodal_nlp(prob, objective, obj_hess_diag, equality, gap_rows=None, gap_rhs=
         ineq_rhs=rhs,
         equality=equality,
     )
-    nlp.h0_builder = _h0_builder(nlp, n, obj_hess_diag)
+    nlp.h0_builder = _h0_builder(nlp, n, curvature)
     return nlp
 
 
@@ -309,31 +311,37 @@ def _h0_builder(nlp, n, obj_hess_diag):
     return builder
 
 
-def _epigraph_nlp(prob):
-    """p = inf program over (h, t): min t with every gap h_C - h_j <= t."""
+def _program(prob, zu):
+    """The nodal program for the problem's p: (nlp, lift, energy).
+
+    Finite p minimizes the powered gap over h, scaled by the anchor's
+    largest gap (`geometry.gap_model`); starts are used as they are and the
+    energy is `energy_of`.  p = inf minimizes t over (h, t) with every gap
+    h_C - h_j <= t: `lift` gives a start its largest gap as slack, and the
+    optimal t, the Hausdorff-distance estimate, is the energy.
+    """
+    if not math.isinf(prob.p):
+        objective, curvature = gap_model(
+            prob.container_values, prob.p, _anchor_start(prob, zu), container_scale(prob.container)
+        )
+        nlp = _nodal_nlp(prob, lambda x: objective(x)[:2], curvature, _area_equality(prob))
+        return nlp, lambda v: v, lambda x: energy_of(x, prob)
+
     n = prob.n
 
-    def objective(x):
+    def slack_objective(x):
         g = np.zeros(n + 1)
         g[-1] = 1.0
         return float(x[-1]), g
 
-    return _nodal_nlp(
-        prob,
-        objective,
-        lambda x: np.zeros(n),
-        _area_equality(prob),
-        gap_rows=np.hstack([-np.eye(n), -np.ones((n, 1))]),
-        gap_rhs=-prob.container_values,
-    )
+    def lift(v):
+        return np.concatenate([v, [float(np.max(prob.container_values - v)) * (1.0 + 1e-9) + 1e-12]])
 
-
-def _powered_nlp(prob, zu):
-    """Finite-p program: the powered gap, scaled by the anchor's largest gap."""
-    objective, curvature = gap_model(
-        prob.container_values, prob.p, _anchor_start(prob, zu), container_scale(prob.container)
+    nlp = _nodal_nlp(
+        prob, slack_objective, lambda x: np.zeros(n), _area_equality(prob),
+        gap_rhs=-prob.container_values, slack=True,
     )
-    return _nodal_nlp(prob, lambda x: objective(x)[:2], curvature, _area_equality(prob))
+    return nlp, lift, lambda x: float(x[-1])
 
 
 def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
@@ -341,29 +349,14 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
 
     `init` (a SupportSamples warm start) is clipped into the container and
     convexified, then competes with the deterministic scaled-copy anchor and
-    `seeds` random feasible starts.  p = inf is solved in epigraph form,
-    min t with every gap <= t: each start gets its largest gap as slack, and
-    the optimal t, the Hausdorff-distance estimate, is the reported `energy`.
+    `seeds` random feasible starts.  `_program` chooses the program for p;
+    at p = inf the reported `energy` is the optimal epigraph slack t, the
+    Hausdorff-distance estimate.
     """
     t0 = time.perf_counter()
     starts, zu = _gather_starts(prob, init, seeds, base_seed)
-    if math.isinf(prob.p):
-        starts = [
-            np.concatenate([v, [float(np.max(prob.container_values - v)) * (1.0 + 1e-9) + 1e-12]])
-            for v in starts
-        ]
-        nlp = _epigraph_nlp(prob)
-
-        def energy(x):
-            return float(x[-1])
-
-    else:
-        nlp = _powered_nlp(prob, zu)
-
-        def energy(x):
-            return energy_of(x, prob)
-
-    winner = run_multistart(nlp, starts, params, energy)
+    nlp, lift, energy = _program(prob, zu)
+    winner = run_multistart(nlp, [lift(v) for v in starts], params, energy)
     values = winner.x[: prob.n]
     report = nodal_constraints(values, prob)
     if math.isinf(prob.p):
@@ -371,7 +364,7 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     else:
         powered = powered_gap(values, prob.container_values, prob.p)[0]
         sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
-    flagged = float(np.min(report.convexity)) >= -1e-9 * max(1.0, float(np.max(np.abs(values))))
+    flagged = float(np.min(report.convexity)) >= -convexity_tolerance(values)
     return SolveResult.from_winner(
         winner,
         samples=SupportSamples(values, convex_checked=flagged),

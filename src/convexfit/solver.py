@@ -268,7 +268,10 @@ def _inner_minimize(al, x0, tol, params):
         raise SolverAbort("non-finite objective or gradient at the start point")
     iters, evals, backtracks = 0, 1, 0
     while iters < params.max_inner and np.linalg.norm(g, np.inf) > tol:
-        d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho, parts[3])(g)
+        try:
+            d = -h0_builder(x, (al.lam + al.rho * r) >= 0.0, al.rho, parts[3])(g)
+        except np.linalg.LinAlgError as exc:
+            raise SolverAbort(f"singular Newton seed at rho = {al.rho:g} ({exc})") from None
         slope = float(g @ d)
         if not np.isfinite(slope) or slope >= 0:
             d = -g

@@ -17,7 +17,7 @@ from convexfit.experiments import (
     shape_gallery,
 )
 from convexfit.geometry import Disk, Scaled, named_container, support_samples
-from convexfit.solver import NlpProblem, dense_h0_builder
+from convexfit.solver import NlpProblem, SolverParams, dense_h0_builder
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -91,6 +91,15 @@ class TestEquivalenceProbe:
         cfg = small_cfg(DISK, "disk", alphas=(1.0,), ps=(2.0,), n=32, seeds=1)
         report = equivalence_probe(cfg)
         assert report["recovered_area"] == pytest.approx(np.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("name, p", [("disk", 1.0), ("square", 4.0)])
+    def test_alpha_one_pins_the_container(self, name, p):
+        # f = 0: stage two may only return the container itself
+        cfg = small_cfg(named_container(name), name, alphas=(1.0,), ps=(p,), n=24, seeds=1)
+        report = equivalence_probe(cfg)
+        assert report["f_value"] == 0.0
+        assert report["area_gap"] <= SolverParams().feas_tol * max(1.0, report["target_area"])
+        assert report["stage1_beaten"] is False
 
     @pytest.mark.parametrize(
         "n, stage1, blended, beaten",

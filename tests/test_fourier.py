@@ -423,17 +423,29 @@ def _solve_digests():
     return out
 
 
-def test_solves_are_bitwise_the_pinned_ones():
+def _print_digests(solve_digests):
+    """What a test file run as a script prints for `_pinned_digests`."""
+    print(json.dumps({"probe": _platform_probe(), "solves": solve_digests()}))
+
+
+def _pinned_digests(script):
+    """The solve digests `script` prints (`_print_digests`) in a fresh
+    interpreter with BLAS pinned to 1 thread.  Skips the calling test when
+    that interpreter's `_platform_probe` differs from the pinned one."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     pinned = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **pinned, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     if seen["probe"] != PLATFORM_PROBE:
         pytest.skip("this platform rounds the probe kernels differently from the one pinned")
-    assert seen["solves"] == PINNED_SOLVES
+    return seen["solves"]
+
+
+def test_solves_are_bitwise_the_pinned_ones():
+    assert _pinned_digests(__file__) == PINNED_SOLVES
 
 
 if __name__ == "__main__":
-    print(json.dumps({"probe": _platform_probe(), "solves": _solve_digests()}))
+    _print_digests(_solve_digests)

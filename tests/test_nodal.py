@@ -1,21 +1,24 @@
-"""Nodal discretization: objective, area form, constraints, solves, minimax."""
+"""Nodal discretization: objective, area form, constraints, solves, minimax.
 
+    python tests/test_nodal.py   # prints the pinned cells' solve digests
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexfit.experiments import StudyConfig, equivalence_probe, gamma_sweep
 from convexfit.geometry import (
     Disk,
     GeometryError,
     SupportSamples,
-    chain_convexity_defect,
     convexity_residuals,
     named_container,
     polygon_area,
     reconstruct_boundary,
-    reconstruction_tolerance,
     support_samples,
     unit_vector,
     interior_point,
@@ -29,11 +32,12 @@ from convexfit.nodal import (
     nodal_objective,
     solve_nodal,
     _area_equality,
-    _epigraph_nlp,
     _nodal_nlp,
-    _powered_nlp,
+    _program,
     _random_start,
 )
+from test_fourier import _pinned_digests, _print_digests
+from test_geometry import chain_convexity_defect, reconstruction_tolerance
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -251,7 +255,7 @@ class TestNewtonSeed:
     @pytest.mark.parametrize("seed,n", SEED_CASES)
     def test_finite_p(self, seed, n):
         prob = NodalProblem(SQUARE, n=n, p=4.0, alpha=0.4)
-        nlp = _powered_nlp(prob, unit_vector(prob.angles) @ interior_point(SQUARE))
+        nlp = _program(prob, unit_vector(prob.angles) @ interior_point(SQUARE))[0]
         x = self.shape(prob, seed)
         step = 1e-6  # the powered gap's Hessian is diagonal
         hess = (nlp.objective(x + step)[1] - nlp.objective(x - step)[1]) / (2 * step)
@@ -261,7 +265,7 @@ class TestNewtonSeed:
     @pytest.mark.parametrize("seed,n", SEED_CASES)
     def test_epigraph(self, seed, n):
         prob = NodalProblem(SQUARE, n=n, p=math.inf, alpha=0.4)
-        nlp = _epigraph_nlp(prob)
+        nlp = _program(prob, None)[0]
         v = self.shape(prob, seed)
         x = np.append(v, np.max(prob.container_values - v))
         assert (nlp.dim, nlp.n_ineq) == (n + 1, 3 * n)
@@ -277,13 +281,10 @@ class TestNewtonSeed:
             nlp = _nodal_nlp(prob, None, lambda x: hess, _area_equality(prob))
         elif program == "epigraph":
             hess = np.zeros(n)
-            nlp = _epigraph_nlp(prob)
+            nlp = _program(NodalProblem(SQUARE, n=n, p=math.inf, alpha=0.4), None)[0]
         else:
             hess = rng.uniform(0.1, 2.0, n)
-            nlp = _nodal_nlp(
-                prob, None, lambda x: hess, None,
-                gap_rows=-np.eye(n), gap_rhs=0.2 - prob.container_values,
-            )
+            nlp = _nodal_nlp(prob, None, lambda x: hess, None, gap_rhs=0.2 - prob.container_values)
         x = rng.uniform(0.5, 1.0, nlp.dim)
         act = rng.uniform(size=nlp.n_ineq) < 0.5
         rho = 37.5
@@ -299,10 +300,7 @@ class TestNewtonSeed:
         n = 24
         prob = NodalProblem(SQUARE, n=n, p=math.inf, alpha=0.4)
         hess = np.full(n, 0.3)
-        nlp = _nodal_nlp(
-            prob, None, lambda x: hess, None,
-            gap_rows=-np.eye(n), gap_rhs=0.2 - prob.container_values,
-        )
+        nlp = _nodal_nlp(prob, None, lambda x: hess, None, gap_rhs=0.2 - prob.container_values)
         assert (nlp.dim, nlp.n_ineq) == (n, 3 * n)
         self.assert_inverts(nlp, hess, self.shape(prob, seed), seed, n)
 
@@ -383,3 +381,51 @@ def test_target_area_uses_discrete_container_measure():
     prob = NodalProblem(SQUARE, n=128, p=2.0, alpha=1.0)
     assert prob.target_area == pytest.approx(nodal_area(prob.container_values)[0])
     assert prob.target_area == pytest.approx(4.0, abs=1e-3)
+
+
+# Digests of nodal solves, taken while the finite-p and p = inf programs
+# had a builder each (see `_solve_digests`).
+PINNED_SOLVES = {
+    "sweep_disk_n128": [
+        "514ed2195043a1b01798e8e02770d07ab2a8d844076f9ed6227e3590a2d80bc3",
+        "340ed1ebdddeacdb24f55d5267dccc1d07a645e2f538e80da4fb23c2825583cd",
+    ],
+    "square_pinf": "246050240c6761e5065396078ba39589cf512cf46e62810a60ec945433eb57c0",
+    "probe_p4": "35128ebd431e73d0aa7f23994c7c17db33ec9f2fd878b50aa2f1c1e55fb7e5a6",
+    "probe_pinf": "dd03bcd86b40934960153aaf7716b7e4b92ec5f99d894217c9a424d636c0249a",
+}
+
+
+def _solve_digests():
+    """{cell: digest}, wall times zeroed: the benchmark's gamma sweep (disk,
+    alpha = 0.25, p in 1, 2, 8, 32, N = 128, `seeds=0`; its rows and its
+    p = inf result), a cold p = inf solve of the square (alpha = 0.5,
+    N = 48, `seeds=2`) and the equivalence probe at p = 4 and p = inf
+    (disk, alpha = 0.25, N = 48, `seeds=1`; its p = inf stage two has the
+    box rows).  The warm sweep cells have two starts, so the serial and
+    the forked multistart must both give these bits."""
+    from test_multistart import _digest
+
+    def unclocked(res):
+        return dataclasses.replace(res, wall_time=0.0)
+
+    sweep = StudyConfig(DISK, alphas=(0.25,), ps=(1.0, 2.0, 8.0, 32.0), n=128, seeds=0)
+    rows, r_inf = gamma_sweep(sweep)
+    square = solve_nodal(NodalProblem(SQUARE, n=48, p=math.inf, alpha=0.5), seeds=2)
+    out = {
+        "sweep_disk_n128": [_digest([tuple(row.items()) for row in rows]), _digest(unclocked(r_inf))],
+        "square_pinf": _digest(unclocked(square)),
+    }
+    for p in (4.0, math.inf):
+        report = equivalence_probe(StudyConfig(DISK, alphas=(0.25,), ps=(p,), n=48, seeds=1))
+        report["stage1"] = unclocked(report["stage1"])
+        out[f"probe_p{p:g}"] = _digest(tuple(report.items()))
+    return out
+
+
+def test_solves_are_bitwise_the_pinned_ones():
+    assert _pinned_digests(__file__) == PINNED_SOLVES
+
+
+if __name__ == "__main__":
+    _print_digests(_solve_digests)

@@ -211,6 +211,14 @@ def test_nonfinite_objective_aborts():
         solve_nlp(prob, np.zeros(1))
 
 
+def test_singular_seed_aborts_and_names_it():
+    # a seed whose matrix has no inverse: numpy's LinAlgError must not escape
+    prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]))
+    prob.h0_builder = lambda x, active, rho, eq_grad: (lambda q: np.linalg.solve(np.zeros((2, 2)), q))
+    with pytest.raises(SolverAbort, match="singular Newton seed"):
+        solve_nlp(prob, np.zeros(2))
+
+
 def test_a_problem_without_seed_is_refused():
     # the seed's Newton step is the solver's only search direction
     prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]))
