@@ -44,7 +44,7 @@ def _load_config(path, args):
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    flags = {"base_seed": args.seed, "threads": args.threads, "output_dir": args.output_dir}
+    flags = {"base_seed": args.seed, "output_dir": args.output_dir}
     cfg = parse_config(text, {key: value for key, value in flags.items() if value is not None})
     if "output_dir" in cfg.defaults_applied and os.environ.get(OUTPUT_DIR_ENV):
         cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
@@ -160,7 +160,7 @@ def _cmd_equivalence(cfg):
 
 
 def _cmd_oracle(cfg):
-    report = brute_force_nodal(cfg.container, cfg.n, cfg.p, cfg.alpha, cfg.oracle_grid, threads=cfg.threads)
+    report = brute_force_nodal(cfg.container, cfg.n, cfg.p, cfg.alpha, cfg.oracle_grid)
     name = cfg.container_doc if isinstance(cfg.container_doc, str) else "custom"
     columns = ["name", "N", "p", "alpha", "G", "energy"]
     row = {
@@ -210,7 +210,6 @@ def main(argv=None):
         description="Convex inner approximations of planar convex containers.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
-    parser.add_argument("--threads", type=int, default=None, help="override the oracle's thread count")
     parser.add_argument("--output-dir", default=None, help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in COMMANDS.items():

@@ -54,7 +54,6 @@ class RunConfig:
     q: int = 1024
     seeds: int = 4
     base_seed: int = 0
-    threads: int = 1
     output_dir: str = "out"
     solver: dict | None = None
     oracle_grid: int = 25
@@ -260,7 +259,6 @@ def parse_config(text, overrides=None):
         q=q,
         seeds=as_int("seeds", 0),
         base_seed=as_int("base_seed", 0),
-        threads=as_int("threads", 1),
         output_dir=output_dir,
         solver=solver,
         oracle_grid=as_int("oracle_grid", 2),
@@ -282,7 +280,6 @@ def serialize_config(cfg):
         "q": cfg.q,
         "seeds": cfg.seeds,
         "base_seed": cfg.base_seed,
-        "threads": cfg.threads,
         "output_dir": cfg.output_dir,
         "oracle_grid": cfg.oracle_grid,
     }

@@ -28,7 +28,7 @@ from .geometry import (
     powered_gap,
     support_samples,
 )
-from .multistart import InfeasibleError, run_multistart
+from .multistart import InfeasibleError, run_multistart, seed_key
 from .nodal import (
     NodalProblem,
     _gather_starts,
@@ -68,9 +68,6 @@ class StudyConfig:
         self.alphas = tuple(float(a) for a in self.alphas)
         self.ps = tuple(float(p) for p in self.ps)
 
-    def cell_seed(self, index):
-        return [int(self.base_seed), int(index)]
-
     def out_path(self, name):
         return os.path.join(self.output_dir, name)
 
@@ -93,7 +90,7 @@ def _solve(cfg, index, p, alpha, svg, init=None):
         NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha),
         init=init,
         seeds=cfg.seeds,
-        base_seed=cfg.cell_seed(index),
+        base_seed=seed_key(cfg.base_seed, index),
         params=cfg.params,
     )
     _maybe_svg(cfg, result.samples, svg)
@@ -190,10 +187,11 @@ def compare_methods(cfg):
         return result
 
     f_prob = FourierProblem(cfg.container, n_f=cfg.n_f, m=m_aligned, q=cfg.q, p=p, alpha=alpha)
-    fourier = branch("fourier", solve_fourier, f_prob, base_seed=cfg.cell_seed(0), n_samples=cfg.n)
-    branch("nodal_cold", solve_nodal, nodal_prob, base_seed=cfg.cell_seed(1))
+    fourier = branch("fourier", solve_fourier, f_prob, base_seed=seed_key(cfg.base_seed, 0), n_samples=cfg.n)
+    nodal_seed = seed_key(cfg.base_seed, 1)
+    branch("nodal_cold", solve_nodal, nodal_prob, base_seed=nodal_seed)
     if fourier is not None:
-        branch("nodal_warm", solve_nodal, nodal_prob, init=fourier.samples, base_seed=cfg.cell_seed(1))
+        branch("nodal_warm", solve_nodal, nodal_prob, init=fourier.samples, base_seed=nodal_seed)
     _maybe_csv(cfg, "compare", COMPARE_COLUMNS, [{c: report.get(c, math.nan) for c in COMPARE_COLUMNS}])
     return report
 
@@ -258,7 +256,7 @@ def equivalence_probe(cfg):
     """
     p, alpha = cfg.ps[0], cfg.alphas[0]
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-    stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=cfg.cell_seed(0), params=cfg.params)
+    stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=seed_key(cfg.base_seed, 0), params=cfg.params)
     f_val = stage1.energy
 
     n = prob.n
@@ -284,7 +282,7 @@ def equivalence_probe(cfg):
         nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
 
     starts = [stage1.samples.values.copy()]
-    starts += _gather_starts(prob, None, cfg.seeds, cfg.cell_seed(1))[0]
+    starts += _gather_starts(prob, None, cfg.seeds, seed_key(cfg.base_seed, 1))[0]
     try:
         winner = run_multistart(nlp, starts, cfg.params, lambda x: nodal_area(x)[0])
     except InfeasibleError as exc:

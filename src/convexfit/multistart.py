@@ -5,10 +5,11 @@ from (base_seed, start_index); raw starts and polished points are pooled and
 the best feasible candidate wins.  A feasible warm start can therefore never
 be beaten by a worse "solution": descent only polishes it downward.
 
-The starts are solved one per CPU: `_solve_starts` deals them to this
+The starts are solved one per CPU: `per_cpu_map` deals them to this
 process and to forked children.  A solve is a pure function of the problem,
 its start and the parameters, so every result is bitwise that of the serial
-loop, whatever the number of processes.
+loop, whatever the number of processes.  `per_cpu_map` is convexfit's one
+way to use several CPUs; the exhaustive oracle scans its grid through it too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import NlpResult, SolverAbort, SolverParams, check_kkt, feasibility_bound, solve_nlp, violation
+from .solver import (
+    NlpResult, SolverAbort, SolverParams, certified, check_kkt, feasibility_bound, solve_nlp, violation
+)
 
 
 class InfeasibleError(RuntimeError):
@@ -54,21 +57,21 @@ class Winner:
     message: str
 
 
-def _workers(n_starts):
-    """Processes to solve n_starts in: one per CPU of the affinity mask.
+def _workers(count):
+    """Processes to map `count` indices in: one per CPU of the affinity mask.
 
-    1 (no fork) for a single start, off Linux, and while this process runs
+    1 (no fork) for a single index, off Linux, and while this process runs
     more than one OS thread, such as a multithreaded BLAS's: a forked child
     inherits only the forking thread, and locks the others held stay held.
     """
-    if n_starts < 2:
+    if count < 2:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
         threads = len(os.listdir("/proc/self/task"))
     except (AttributeError, OSError):
         return 1
-    return min(n_starts, cpus) if threads == 1 else 1
+    return min(count, cpus) if threads == 1 else 1
 
 
 def _portable(exc):
@@ -80,13 +83,13 @@ def _portable(exc):
     return exc
 
 
-def _serve(read, write, solve, indices):
-    """Forked child: solve `indices` and pickle the reply into fd `write`.
+def _serve(read, write, fn, indices):
+    """Forked child: map `fn` over `indices` and pickle the reply into fd `write`.
 
-    The reply is (outcomes, None), or (outcomes so far, (start, exception,
-    traceback text)) when a start raised something other than SolverAbort.
-    The child exits here, with code 1 and no reply on an interrupt or a
-    failed write, and never returns into its caller's frames.
+    The reply is (outcomes, None), or (outcomes so far, (index, exception,
+    traceback text)) when `fn` raised.  The child exits here, with code 1
+    and no reply on an interrupt or a failed write, and never returns into
+    its caller's frames.
     """
     code = 1
     try:
@@ -94,7 +97,7 @@ def _serve(read, write, solve, indices):
         outcomes, failure = [], None
         try:
             for i in indices:
-                outcomes.append(solve(i))
+                outcomes.append(fn(i))
         except Exception as exc:  # the parent raises it again
             import traceback  # here, not at the top: it adds 0.35 MB to every process's peak RSS
 
@@ -106,37 +109,31 @@ def _serve(read, write, solve, indices):
         os._exit(code)
 
 
-def _solve_starts(nlp, starts, params):
-    """Each start's NlpResult, or the SolverAbort its solve raised, in order.
+def per_cpu_map(fn, count):
+    """[fn(i) for i in range(count)], computed one per CPU.
 
-    The starts are dealt round-robin over `_workers` processes: this one
-    keeps start 0, and each forked child sends its outcomes back pickled
-    through a pipe.  Another exception in a start propagates; a child's is
-    raised again here, chained to a RuntimeError that names its start and
-    carries the child's traceback.  No child outlives the call.
+    The indices are dealt round-robin over `_workers` processes: this one
+    keeps index 0, and each forked child sends its outcomes back pickled
+    through a pipe, so `fn` must return picklable values.  An exception
+    in this process propagates; a child's is raised again here, chained to
+    a RuntimeError that names its index as a start and carries the child's
+    traceback.  No child outlives the call.
     """
-
-    def solve(i):
-        try:
-            return solve_nlp(nlp, starts[i], params)
-        except SolverAbort as exc:
-            return exc.with_traceback(None)  # keeps no frames alive
-
-    workers = _workers(len(starts))
-    children = []  # (pid, read end of its pipe, its start indices)
+    workers = _workers(count)
+    children = []  # (pid, read end of its pipe, its indices)
     replies = None
     try:
         for first in range(1, workers):
-            indices = range(first, len(starts), workers)
+            indices = range(first, count, workers)
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(read, write, solve, indices)
+                _serve(read, write, fn, indices)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), indices))
-        outcomes = [None] * len(starts)
-        for i in range(0, len(starts), workers):
-            outcomes[i] = solve(i)
+        outcomes = [None] * count
+        for i in range(0, count, workers):
+            outcomes[i] = fn(i)
         # read each reply to its end before reaping: a reply larger than
         # the pipe's buffer blocks its writer until it is read
         replies = [pipe.read() for _, pipe, _ in children]
@@ -177,7 +174,14 @@ def run_multistart(nlp, starts, params, energy_fn):
     candidates = []  # (energy, start, kept_raw, x, result)
     failures = []
     closest = np.inf  # smallest violation of a solved point
-    for idx, (x0, result) in enumerate(zip(starts, _solve_starts(nlp, starts, params))):
+
+    def solve(i):
+        try:
+            return solve_nlp(nlp, starts[i], params)
+        except SolverAbort as exc:
+            return exc.with_traceback(None)  # keeps no frames alive
+
+    for idx, (x0, result) in enumerate(zip(starts, per_cpu_map(solve, len(starts)))):
         if isinstance(result, SolverAbort):
             failures.append(f"start {idx}: {result}")
             result = None
@@ -201,9 +205,8 @@ def run_multistart(nlp, starts, params, energy_fn):
     if result is None:
         status, reason = "max_iter", f"start {idx} kept its raw point: the solve aborted"
     elif kept_raw:
-        # certified by solve_nlp's own test, with its solve's multipliers
-        report = check_kkt(nlp, x, result.ineq_multipliers, result.eq_multiplier)
-        if report["stationarity"] <= params.outer_tol and report["primal"] <= feas:
+        # solve_nlp's own test, with its solve's multipliers
+        if certified(check_kkt(nlp, x, result.ineq_multipliers, result.eq_multiplier), params, feas):
             status, reason = "converged", ""
         else:
             status, reason = "max_iter", (

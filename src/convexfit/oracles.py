@@ -27,6 +27,7 @@ from .geometry import (
     inner_parallel,
     support_samples,
 )
+from .multistart import per_cpu_map
 from .nodal import nodal_area
 
 BRUTE_FORCE_MAX_POINTS = 1e8
@@ -119,7 +120,7 @@ class BruteForceReport:
     widened: bool
 
 
-def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
+def brute_force_nodal(container, n, p, alpha, grid_resolution):
     """Exhaustive scan of nodal shapes on a per-node value grid.
 
     Each h_j ranges over `grid_resolution` equal steps in [0, h_C(theta_j)];
@@ -127,8 +128,10 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
     target area within `area_slack` = the largest single-grid-step area
     change at the container configuration (widened once, by 4x, if nothing
     qualifies).  Ties on the objective break to the lowest enumeration
-    index.  The outer grid dimension is scanned in chunks, optionally in
-    parallel; the reduction is deterministic either way.
+    index.  The outer grid dimension is scanned in chunks, one per CPU
+    (`multistart.per_cpu_map`); the best of each chunk is exact and the
+    reduction keeps the lowest (value, index) pair, so the report is
+    bitwise the same for any number of processes.
     """
     G = int(grid_resolution)
     if G < 2:
@@ -167,20 +170,9 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution, threads=1):
         return float(powered[k]), i0 * tail.shape[0] + k, H[k].copy()
 
     def full_scan(slack):
-        best = None
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda i: scan_chunk(i, slack), range(G)))
-        else:
-            results = [scan_chunk(i, slack) for i in range(G)]
-        for out in results:
-            if out is None:
-                continue
-            if best is None or out[0] < best[0] or (out[0] == best[0] and out[1] < best[1]):
-                best = out
-        return best
+        """The chunks' best: lowest powered value, ties to the lowest flat index."""
+        found = [out for out in per_cpu_map(lambda i: scan_chunk(i, slack), G) if out is not None]
+        return min(found, key=lambda out: out[:2], default=None)
 
     best = full_scan(area_slack)
     widened = False

@@ -191,6 +191,12 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
     }
 
 
+def certified(report, params, feas):
+    """Whether a `check_kkt` report certifies its point as converged: the
+    stationarity within `params.outer_tol`, the violation within `feas`."""
+    return report["stationarity"] <= params.outer_tol and report["primal"] <= feas
+
+
 class _Augmented:
     """The augmented Lagrangian at fixed multipliers (lam, mu) and penalty rho.
 
@@ -402,7 +408,7 @@ def solve_nlp(problem, x0, params=None):
         )
         lam, mu = lam_hat, mu_hat
 
-        if report["stationarity"] <= params.outer_tol and viol <= feas:
+        if certified(report, params, feas):
             status = reason = "converged"
             break
         stalled = stalled + 1 if inner_iters == 0 else 0

@@ -248,8 +248,6 @@ def test_seed_and_outdir_flags(tmp_path):
     "flags, command, key",
     [
         (["--seed", "-3"], "solve", "base_seed"),
-        (["--threads", "-2"], "validate", "threads"),
-        (["--threads", "0"], "oracle", "threads"),
         (["--output-dir", ""], "validate", "output_dir"),
     ],
 )
@@ -261,14 +259,30 @@ def test_override_flags_are_validated(tmp_path, outdir, capsys, flags, command, 
 
 def test_overridden_keys_are_not_defaults(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.yaml", "container: disk\n")
-    assert main(["--seed", "7", "--threads", "3", "--output-dir", "elsewhere", "validate", cfg]) == 0
+    assert main(["--seed", "7", "--output-dir", "elsewhere", "validate", cfg]) == 0
     out = capsys.readouterr().out
     echoed = parse_config(out)
-    assert (echoed.base_seed, echoed.threads, echoed.output_dir) == (7, 3, "elsewhere")
+    assert (echoed.base_seed, echoed.output_dir) == (7, "elsewhere")
     defaulted = out.splitlines()[-1]
     assert defaulted.startswith("# defaults applied:")
-    for key in ("base_seed", "threads", "output_dir"):
+    for key in ("base_seed", "output_dir"):
         assert key not in defaulted
+
+
+def test_a_threads_key_is_unknown(tmp_path, outdir, capsys):
+    """The oracle runs one process per CPU of the affinity mask; no key sets it."""
+    cfg = write(tmp_path, "cfg.yaml", f"container: disk\nn: 5\nthreads: 2\noutput_dir: {outdir}\n")
+    assert main(["oracle", cfg]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown keys ['threads']\n"
+    assert not outdir.exists()
+
+
+def test_there_is_no_threads_flag(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.yaml", "container: disk\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--threads=2", "validate", cfg])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""The multistart's one-start-per-CPU path.
+"""The per-CPU map (`multistart.per_cpu_map`) under the multistart and the oracle.
 
 Forked workers must give the serial loop's results bit for bit, hand errors
 and aborts back to the caller, and leave no child process behind.  Each case
@@ -41,6 +41,19 @@ def _set_cpus(k):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks():
+    """A list that gains an entry at every `os.fork` from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    os.fork = counted_fork
+    return forks
 
 
 def _fingerprint(obj):
@@ -92,10 +105,10 @@ def identical_at_any_worker_count():
     from convexfit.nodal import NodalProblem
 
     seen = []  # every Winner and every start's outcome, in call order
-    solve_starts = multistart._solve_starts
+    per_cpu_map = multistart.per_cpu_map
 
-    def spy_starts(*args):
-        outcomes = solve_starts(*args)
+    def spy_map(*args):
+        outcomes = per_cpu_map(*args)
         seen.append(outcomes)
         return outcomes
 
@@ -107,17 +120,10 @@ def identical_at_any_worker_count():
 
         return spy
 
-    multistart._solve_starts = spy_starts
+    multistart.per_cpu_map = spy_map
     nodal.run_multistart = spy_winner(nodal.run_multistart)
     fourier.run_multistart = spy_winner(fourier.run_multistart)
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    os.fork = counted_fork
+    forks = _count_forks()
 
     def cells():
         nodal.solve_nodal(NodalProblem(named_container("pentagon"), n=48, p=4.0, alpha=0.3), seeds=3)
@@ -135,6 +141,27 @@ def identical_at_any_worker_count():
         assert len(seen) == 6 and all(isinstance(outcome, list) for outcome in seen[::2])
         assert len(forks) == 3 * (workers - 1)  # every cell has 3 or 4 starts
         digests[workers] = [_digest(item) for item in seen]
+    assert digests[1] == digests[2] == digests[3]
+
+
+@case
+def oracle_scan_identical_at_any_worker_count():
+    from convexfit.geometry import named_container
+    from convexfit.oracles import brute_force_nodal
+
+    forks = _count_forks()
+    cells = [("disk", 5, 2.0, 0.25, 9), ("square", 4, 1.0, 0.25, 12)]
+    digests = {}
+    for workers in (1, 2, 3):
+        _set_cpus(workers)
+        reports = []
+        for name, *args in cells:
+            forks.clear()
+            reports.append(brute_force_nodal(named_container(name), *args))
+            _assert_no_child_left()
+            scans = 2 if reports[-1].widened else 1
+            assert len(forks) == scans * (workers - 1)  # one map call per scan of the grid
+        digests[workers] = _digest(reports)
     assert digests[1] == digests[2] == digests[3]
 
 
@@ -203,14 +230,15 @@ def a_worker_abort_reads_as_in_the_serial_run():
 def a_reply_larger_than_the_pipe_buffer_comes_back_whole():
     import pickle
 
-    from convexfit import multistart
+    from convexfit.multistart import per_cpu_map
+    from convexfit.solver import solve_nlp
 
     prob = _quadratic(20_000)
     starts = [np.zeros(20_000), np.linspace(-3.0, 2.0, 20_000)]
     replies = {}
     for workers in (1, 2):
         _set_cpus(workers)
-        replies[workers] = multistart._solve_starts(prob, starts, None)
+        replies[workers] = per_cpu_map(lambda i: solve_nlp(prob, starts[i]), len(starts))
         _assert_no_child_left()
     assert len(pickle.dumps(replies[2][1])) > 64 * 1024
     assert _digest(replies[1]) == _digest(replies[2])

@@ -127,12 +127,6 @@ class TestBruteForce:
         with pytest.raises(Exception):
             brute_force_nodal(DISK, 6, 2.0, 0.25, 50)  # 50^6 > 1e8
 
-    def test_threaded_scan_matches_sequential(self):
-        a = brute_force_nodal(DISK, 5, 2.0, 0.25, 9, threads=1)
-        b = brute_force_nodal(DISK, 5, 2.0, 0.25, 9, threads=3)
-        assert a.energy == b.energy
-        np.testing.assert_array_equal(a.values.values, b.values.values)
-
     def test_report_fields(self):
         rep = brute_force_nodal(SQUARE, 4, 1.0, 0.25, 12)
         assert isinstance(rep, BruteForceReport)
