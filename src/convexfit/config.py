@@ -197,10 +197,10 @@ def parse_config(text, overrides=None):
             name,
         )
         v = float(v)
+        _require(lo is None or v >= lo, f"must be >= {lo}", name)
         if math.isinf(v):
             _require(allow_inf, "must be finite", name)
             return v
-        _require(lo is None or v >= lo, f"must be >= {lo}", name)
         _require(hi is None or v <= hi, f"must be <= {hi}", name)
         return v
 
@@ -267,28 +267,19 @@ def parse_config(text, overrides=None):
 
 
 def serialize_config(cfg):
-    """Canonical YAML document; parse(serialize(cfg)) equals cfg."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "container": cfg.container_doc,
-        "p": "inf" if math.isinf(cfg.p) else cfg.p,
-        "alpha": cfg.alpha,
-        "method": cfg.method,
-        "n": cfg.n,
-        "n_f": cfg.n_f,
-        "m": cfg.m,
-        "q": cfg.q,
-        "seeds": cfg.seeds,
-        "base_seed": cfg.base_seed,
-        "output_dir": cfg.output_dir,
-        "oracle_grid": cfg.oracle_grid,
-    }
-    if cfg.alphas is not None:
-        doc["alphas"] = cfg.alphas
-    if cfg.ps is not None:
-        doc["ps"] = ["inf" if math.isinf(p) else p for p in cfg.ps]
-    if cfg.solver is not None:
-        doc["solver"] = cfg.solver
+    """Canonical YAML document; parse(serialize(cfg)) equals cfg.
+
+    Unset (None) keys are left out; an infinite exponent is written 'inf'.
+    """
+
+    def token(v):
+        return "inf" if isinstance(v, float) and math.isinf(v) else v
+
+    doc = {"schema_version": SCHEMA_VERSION, "container": cfg.container_doc}
+    for name in DEFAULTS:
+        value = getattr(cfg, name)
+        if value is not None:
+            doc[name] = [token(v) for v in value] if isinstance(value, list) else token(value)
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 

@@ -25,6 +25,7 @@ from .geometry import (
     convexity_residuals,
     grid_constants,
     hausdorff_from_supports,
+    perimeter_from_support,
     powered_gap,
     support_samples,
 )
@@ -307,18 +308,12 @@ def equivalence_probe(cfg):
     return report
 
 
-@dataclass
-class PolygonalityThresholds:
-    """Calibration constants for the boundary-structure report.
-
-    free_gap_rel scales the contact/free split by the container size;
-    curvature_rel scales the near-zero test by the contact curvature (or,
-    for polygonal containers whose contact curvature is itself zero, by the
-    mean curvature radius perimeter/2pi).
-    """
-
-    free_gap_rel: float = 1e-4
-    curvature_rel: float = 1e-3
+# Calibration of the boundary-structure report: FREE_GAP_REL scales the
+# contact/free split by the container size; CURVATURE_REL scales the
+# near-zero test by the contact curvature (or, for polygonal containers whose
+# contact curvature is itself zero, by the mean curvature radius perimeter/2pi).
+FREE_GAP_REL = 1e-4
+CURVATURE_REL = 1e-3
 
 
 @dataclass
@@ -333,7 +328,7 @@ class PolygonalityReport:
     free_radii: np.ndarray = field(repr=False, default=None)
 
 
-def polygonality_report(shape, container, thresholds=None):
+def polygonality_report(shape, container):
     """Classify free-boundary nodes by discrete curvature radius.
 
     A node is free when its gap to the container exceeds the free-gap
@@ -341,21 +336,20 @@ def polygonality_report(shape, container, thresholds=None):
     near-zero threshold lie on straight segments.  Maximal circular runs of
     near-zero free nodes estimate the segment count.
     """
-    thresholds = thresholds or PolygonalityThresholds()
     values = shape.values
     n = values.size
     h_c = support_samples(container, n).values
     gap = h_c - values
     radius = convexity_residuals(values) / (2.0 - 2.0 * np.cos(TWO_PI / n))
 
-    eps_free = thresholds.free_gap_rel * container_scale(container)
+    eps_free = FREE_GAP_REL * container_scale(container)
     free = gap > eps_free
     contact = ~free
-    mean_radius = float(TWO_PI / n * np.sum(values)) / TWO_PI  # perimeter / 2pi
+    mean_radius = perimeter_from_support(shape) / TWO_PI
     scale = float(np.median(radius[contact])) if np.any(contact) else 0.0
     if scale <= 1e-9 * max(1.0, mean_radius):
         scale = mean_radius  # polygonal containers have zero contact curvature
-    threshold = thresholds.curvature_rel * scale
+    threshold = CURVATURE_REL * scale
 
     near_zero = free & (radius <= threshold)
     n_free = int(np.sum(free))

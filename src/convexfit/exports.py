@@ -26,6 +26,7 @@ from .geometry import (
 SHAPE_HEADER = "theta,h"
 HISTORY_HEADER = "outer_iter,inner_iter,objective,area_residual,max_violation"
 FOURIER_HEADER = "k,a,b"
+SVG_SIZE = 640  # pixels along the longer side of the view box
 
 
 def fmt(x):
@@ -145,7 +146,7 @@ def load_overlay_csv(path, n):
     return load_shape_csv(path)
 
 
-def export_svg(container, shapes, path, size=640):
+def export_svg(container, shapes, path):
     """Container outline with shape overlays, deterministic bytes.
 
     The view box is the container bounding box plus a 5% margin; shapes are
@@ -158,7 +159,7 @@ def export_svg(container, shapes, path, size=640):
     ymin, ymax = ymin - margin, ymax + margin
     width = xmax - xmin
     height = ymax - ymin
-    scale = size / max(width, height)
+    scale = SVG_SIZE / max(width, height)
 
     def to_px(pts):
         x = (pts[:, 0] - xmin) * scale

@@ -27,6 +27,7 @@ from .geometry import (
     GeometryError,
     SupportSamples,
     TWO_PI,
+    _integer,
     container_area,
     container_scale,
     gap_model,
@@ -98,13 +99,15 @@ class FourierProblem:
     alpha: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_f", "m", "q"):
+            _integer(getattr(self, name), name)
         if self.n_f < 1:
             raise GeometryError("Fourier order must be >= 1")
         if self.m < 3:
             raise GeometryError("constraint grid needs m >= 3")
         if self.q < 4 * self.n_f:
             raise GeometryError("quadrature grid q must be >= 4 * n_f (anti-aliasing)")
-        if self.p < 1.0 or math.isinf(self.p):
+        if not 1.0 <= self.p < math.inf:
             raise GeometryError("Fourier method needs a finite exponent p >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise GeometryError("area fraction alpha must lie in [0, 1]")
@@ -232,15 +235,15 @@ def fourier_to_nodal(shape, n):
     return SupportSamples(shape.evaluate(theta))
 
 
-def truncate_container(container, n_f, grid=TRUNCATION_GRID):
+def truncate_container(container, n_f):
     """Fourier coefficients of the container support up to order n_f.
 
     Rectangle-rule coefficients via FFT on a dense grid; with grid >> n_f
     the aliasing error is far below the truncation error itself.
     """
-    theta = TWO_PI * np.arange(grid) / grid
+    theta = TWO_PI * np.arange(TRUNCATION_GRID) / TRUNCATION_GRID
     h = support_eval(container, theta)
-    c = np.fft.rfft(h) / grid
+    c = np.fft.rfft(h) / TRUNCATION_GRID
     a = np.concatenate([[c[0].real], 2.0 * c[1 : n_f + 1].real])
     b = -2.0 * c[1 : n_f + 1].imag
     return FourierShape(a, b)

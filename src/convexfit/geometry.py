@@ -50,6 +50,11 @@ def _finite(value, what):
         raise GeometryError(f"{what} must be finite, got {value!r}")
 
 
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{what} must be an integer, got {value!r}")
+
+
 def _finite_pair(value, what):
     """`value` as a tuple of two finite floats; GeometryError otherwise."""
     try:

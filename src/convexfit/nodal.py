@@ -26,6 +26,7 @@ from .geometry import (
     SupportSamples,
     TWO_PI,
     _clip_halfplane,
+    _integer,
     container_scale,
     convexity_residuals,
     convexity_tolerance,
@@ -57,9 +58,10 @@ class NodalProblem:
     alpha: float = 0.5
 
     def __post_init__(self):
+        _integer(self.n, "n")
         if self.n < 3:
             raise GeometryError("nodal grid needs n >= 3")
-        if not (math.isinf(self.p) or self.p >= 1.0):
+        if not self.p >= 1.0:
             raise GeometryError("exponent p must be >= 1 (or inf)")
         if not 0.0 <= self.alpha <= 1.0:
             raise GeometryError("area fraction alpha must lie in [0, 1]")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from convexfit.cli import COMMANDS, main
-from convexfit.config import parse_config
+from convexfit.config import parse_config, serialize_config
 
 ROOT = Path(__file__).resolve().parent.parent
 # `convexfit <command> <config> [...]` lines of the README's usage block
@@ -311,8 +311,11 @@ def test_settings_the_fourier_method_rejects_are_config_errors(tmp_path, outdir,
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda path: path.name)
-def test_shipped_configs_validate(path):
+def test_shipped_configs_validate(path, capsys):
     assert main(["validate", str(path)]) == 0
+    # the canonical document, then a comment naming the defaulted keys
+    canonical, _, _ = capsys.readouterr().out.partition("# defaults applied")
+    assert serialize_config(parse_config(canonical)) == canonical
 
 
 def test_readme_commands_name_commands_and_files():

@@ -180,6 +180,14 @@ def test_p_below_one_rejected():
     assert err.value.key == "p"
 
 
+@pytest.mark.parametrize("text", ["p: -.inf", "ps: [1, -.inf]"])
+def test_negative_infinite_exponent_rejected(text):
+    # p: -.inf used to pass the p >= 1 check and run the p = inf solve
+    with pytest.raises(ConfigError, match="must be >= 1.0") as err:
+        parse_config(f"container: disk\n{text}\n")
+    assert err.value.key == text.split(":")[0]
+
+
 def test_schema_version_checked():
     with pytest.raises(ConfigError) as err:
         parse_config("container: disk\nschema_version: 99\n")

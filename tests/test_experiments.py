@@ -7,7 +7,6 @@ import pytest
 
 from convexfit import experiments, multistart
 from convexfit.experiments import (
-    PolygonalityThresholds,
     StudyConfig,
     compare_methods,
     equivalence_probe,
@@ -156,14 +155,6 @@ class TestPolygonality:
         shape = support_samples(Disk((0, 0), 0.5), 256)
         report = polygonality_report(shape, DISK)
         assert report.near_zero_fraction <= 0.05
-
-    def test_thresholds_are_tunable(self):
-        # a generous curvature threshold classifies even the round shape flat
-        shape = support_samples(Disk((0, 0), 0.5), 128)
-        loose = polygonality_report(shape, DISK, PolygonalityThresholds(curvature_rel=3.0))
-        assert loose.near_zero_fraction == 1.0
-        nothing_free = polygonality_report(shape, DISK, PolygonalityThresholds(free_gap_rel=10.0))
-        assert nothing_free.n_free == 0
 
 
 @pytest.mark.parametrize("name", ["disk", "square", "stadium", "triangle", "pentagon"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexfit.experiments import StudyConfig, equivalence_probe, gamma_sweep
+from convexfit.fourier import FourierProblem
 from convexfit.geometry import (
     Disk,
     GeometryError,
@@ -41,6 +42,32 @@ from test_geometry import chain_convexity_defect, reconstruction_tolerance
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FourierProblem(DISK, n_f=4, m=32, q=64, p=math.nan), "^Fourier method needs a finite exponent p"),
+        (lambda: NodalProblem(DISK, n=16, p=-math.inf), "^exponent p must be >= 1"),
+        (lambda: NodalProblem(DISK, n=12.5), "^n must be an integer"),
+        (lambda: NodalProblem(DISK, n=True), "^n must be an integer"),
+        (lambda: FourierProblem(DISK, n_f=2.5, m=32, q=64), "^n_f must be an integer"),
+        (lambda: FourierProblem(DISK, n_f=4, m=10.5, q=64), "^m must be an integer"),
+        (lambda: FourierProblem(DISK, n_f=4, m=32, q=64.5), "^q must be an integer"),
+    ],
+    ids=["fourier_p_nan", "nodal_p_minus_inf", "n_float", "n_bool", "n_f_float", "m_float", "q_float"],
+)
+def test_problems_reject_bad_settings_at_construction(build, message):
+    # a NaN exponent or a non-integer grid size used to build, and to fail
+    # later in the solve (or in numpy) with a message naming no setting; a
+    # nodal p = -inf used to build and solve as p = inf
+    with pytest.raises(GeometryError, match=message):
+        build()
+
+
+def test_problems_accept_numpy_integer_sizes():
+    assert NodalProblem(DISK, n=np.int64(12)).angles.size == 12
+    assert FourierProblem(DISK, n_f=np.int64(4), m=np.int32(32), q=np.int64(64)).dim == 9
 
 
 def random_feasible(prob, seed):
