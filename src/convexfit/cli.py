@@ -35,8 +35,6 @@ from .multistart import InfeasibleError
 from .nodal import NodalProblem, solve_nodal
 from .oracles import OracleNotApplicable, brute_force_nodal
 
-OUTPUT_DIR_ENV = "CONVEXFIT_OUTDIR"
-
 
 def _load_config(path, args):
     try:
@@ -45,10 +43,7 @@ def _load_config(path, args):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     flags = {"base_seed": args.seed, "output_dir": args.output_dir}
-    cfg = parse_config(text, {key: value for key, value in flags.items() if value is not None})
-    if "output_dir" in cfg.defaults_applied and os.environ.get(OUTPUT_DIR_ENV):
-        cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
-    return cfg
+    return parse_config(text, {key: value for key, value in flags.items() if value is not None})
 
 
 def _study_config(cfg, alphas=None, ps=None):

@@ -8,7 +8,6 @@ emits a canonical document that reparses to an equal configuration.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -65,19 +64,12 @@ DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MIS
 
 
 def _parse_container(doc, key="container"):
+    """(spec, canonical document) of a stock name or an inline spec mapping;
+    the document's entries are built only once the spec has validated them."""
     if isinstance(doc, str):
         try:
             return named_container(doc), doc
         except GeometryError as exc:
-            # not a stock name: maybe a file holding a container document
-            if os.path.exists(doc):
-                try:
-                    with open(doc) as fh:
-                        nested = yaml.safe_load(fh)
-                except (OSError, yaml.YAMLError) as file_exc:
-                    raise ConfigError(f"container file {doc!r}: {file_exc}", key) from file_exc
-                spec, _ = _parse_container(nested, key)
-                return spec, _canonical_container_doc(nested)
             raise ConfigError(str(exc), key) from exc
     if not isinstance(doc, dict):
         raise ConfigError("must be a name or a mapping with a 'type' entry", key)
@@ -95,6 +87,7 @@ def _parse_container(doc, key="container"):
     extra = set(doc) - known[kind]
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)}", key)
+    canonical = {"type": kind}
     try:
         if kind == "disk":
             spec = Disk(doc.get("center", (0.0, 0.0)), float(doc.get("radius", 1.0)))
@@ -110,41 +103,26 @@ def _parse_container(doc, key="container"):
             parts = doc.get("parts", [])
             if len(parts) != 2:
                 raise ConfigError("needs exactly 2 parts", key)
-            left, _ = _parse_container(parts[0], key + ".parts[0]")
-            right, _ = _parse_container(parts[1], key + ".parts[1]")
+            left, left_doc = _parse_container(parts[0], key + ".parts[0]")
+            right, right_doc = _parse_container(parts[1], key + ".parts[1]")
             spec = MinkowskiSum(left, right)
-        elif kind == "scaled":
-            base, _ = _parse_container(doc["base"], key + ".base")
-            spec = Scaled(base, float(doc["factor"]))
-        else:
-            base, _ = _parse_container(doc["base"], key + ".base")
-            spec = Translated(base, doc["offset"])
+            canonical["parts"] = [left_doc, right_doc]
+        else:  # scaled or translated
+            base, canonical["base"] = _parse_container(doc["base"], key + ".base")
+            spec = Scaled(base, float(doc["factor"])) if kind == "scaled" else Translated(base, doc["offset"])
+        for k in sorted(set(doc) - {"type", "parts", "base"}):
+            v = doc[k]
+            if k == "vertices":
+                canonical[k] = [[float(a), float(b)] for a, b in v]
+            elif k in ("center", "offset"):
+                canonical[k] = [float(v[0]), float(v[1])]
+            else:
+                canonical[k] = float(v)
     except ConfigError:
         raise
     except (GeometryError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), key) from exc
-    return spec, _canonical_container_doc(doc)
-
-
-def _canonical_container_doc(doc):
-    if isinstance(doc, str):
-        return doc
-    out = {"type": doc["type"]}
-    for k in sorted(doc):
-        if k == "type":
-            continue
-        v = doc[k]
-        if k == "parts":
-            out[k] = [_canonical_container_doc(p) for p in v]
-        elif k == "base":
-            out[k] = _canonical_container_doc(v)
-        elif k == "vertices":
-            out[k] = [[float(a), float(b)] for a, b in v]
-        elif k in ("center", "offset"):
-            out[k] = [float(v[0]), float(v[1])]
-        else:
-            out[k] = float(v)
-    return out
+    return spec, canonical
 
 
 def _require(cond, message, key):
@@ -174,8 +152,7 @@ def parse_config(text, overrides=None):
         raise ConfigError(f"unknown keys {sorted(unknown)}")
     version = doc.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}", "schema_version")
-    if "container" not in doc:
-        raise ConfigError("missing required key", "container")
+    _require("container" in doc, "missing required key", "container")
     container, container_doc = _parse_container(doc["container"])
 
     values = {}

@@ -340,7 +340,7 @@ def polygonality_report(shape, container):
     n = values.size
     h_c = support_samples(container, n).values
     gap = h_c - values
-    radius = convexity_residuals(values) / (2.0 - 2.0 * np.cos(TWO_PI / n))
+    radius = convexity_residuals(values) / (2.0 - grid_constants(n)[0])
 
     eps_free = FREE_GAP_REL * container_scale(container)
     free = gap > eps_free

@@ -231,8 +231,8 @@ def _nodal_nlp(prob, objective, curvature, equality, gap_rhs=None, slack=False):
     eye = np.eye(n)
     shift_next = np.roll(eye, 1, axis=1)  # picks h_{j+1}
     shift_prev = np.roll(eye, -1, axis=1)  # picks h_{j-1}
-    cos = np.cos(TWO_PI / n)
-    a_cvx = -(shift_next + shift_prev - 2.0 * cos * eye)
+    two_cos = grid_constants(n)[0]
+    a_cvx = -(shift_next + shift_prev - two_cos * eye)
     rows = np.vstack([eye, a_cvx])
     rhs = np.concatenate([prob.container_values, np.zeros(n)])
     if gap_rhs is not None:
@@ -265,7 +265,7 @@ def _h0_builder(nlp, n, obj_hess_diag):
     np.linalg.solve factors it at every apply: O(N^3), about half of an
     N = 512 solve.
     """
-    cos = np.cos(TWO_PI / n)
+    two_cos = grid_constants(n)[0]
     dim = nlp.dim
     has_gap, has_slack = nlp.n_ineq > 2 * n, dim > n
     idx = np.arange(n)
@@ -289,8 +289,8 @@ def _h0_builder(nlp, n, obj_hess_diag):
         d_cvx = act[n : 2 * n].astype(float)
         d_next = d_cvx[up1]
         diag = np.asarray(obj_hess_diag(x))[:n] + rho * d_inc
-        diag += rho * (d_cvx[down1] + 4.0 * cos**2 * d_cvx + d_next)
-        band1 = -2.0 * cos * rho * (d_cvx + d_next)
+        diag += rho * (d_cvx[down1] + two_cos**2 * d_cvx + d_next)
+        band1 = -two_cos * rho * (d_cvx + d_next)
         band2 = rho * d_next
         weights = [diag, band1, band1, band2, band2]
         if has_gap:

@@ -127,11 +127,13 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     kept points satisfy every discrete convexity residual >= 0 and match the
     target area within `area_slack` = the largest single-grid-step area
     change at the container configuration (widened once, by 4x, if nothing
-    qualifies).  Ties on the objective break to the lowest enumeration
-    index.  The outer grid dimension is scanned in chunks, one per CPU
-    (`multistart.per_cpu_map`); the best of each chunk is exact and the
-    reduction keeps the lowest (value, index) pair, so the report is
-    bitwise the same for any number of processes.
+    qualifies).  Points score their powered gap, or at p = inf their largest
+    gap (the `energy`; `powered_value` is then inf, as in `solve_nodal`).
+    Ties on the score break to the lowest enumeration index.  The outer
+    grid dimension is scanned in chunks, one per CPU (`per_cpu_map`); the
+    best of each chunk is exact and the reduction keeps the lowest (score,
+    index) pair, so the report is bitwise the same for any number of
+    processes.
     """
     G = int(grid_resolution)
     if G < 2:
@@ -148,12 +150,13 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
 
     two_cos, kappa = grid_constants(n)
     w = TWO_PI / n
+    hausdorff = np.isinf(p)
     tail = np.stack(
         np.meshgrid(*[np.arange(G)] * (n - 1), indexing="ij"), axis=-1
     ).reshape(-1, n - 1)
 
     def scan_chunk(i0, slack):
-        """(powered, flat_index, values) of the best feasible point, or None."""
+        """(score, flat_index, values) of the best feasible point, or None."""
         H = np.empty((tail.shape[0], n))
         H[:, 0] = i0 * steps[0]
         H[:, 1:] = tail * steps[1:]
@@ -164,13 +167,13 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         if not np.any(feas):
             return None
         gaps = np.maximum(h_c - H, 0.0)
-        powered = w * np.sum(gaps**p, axis=1)
-        powered[~feas] = np.inf
-        k = int(np.argmin(powered))
-        return float(powered[k]), i0 * tail.shape[0] + k, H[k].copy()
+        score = np.max(gaps, axis=1) if hausdorff else w * np.sum(gaps**p, axis=1)
+        score[~feas] = np.inf
+        k = int(np.argmin(score))
+        return float(score[k]), i0 * tail.shape[0] + k, H[k].copy()
 
     def full_scan(slack):
-        """The chunks' best: lowest powered value, ties to the lowest flat index."""
+        """The chunks' best: lowest score, ties to the lowest flat index."""
         found = [out for out in per_cpu_map(lambda i: scan_chunk(i, slack), G) if out is not None]
         return min(found, key=lambda out: out[:2], default=None)
 
@@ -183,11 +186,11 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         raise OracleNotApplicable(
             f"no feasible grid point within area slack {4 * area_slack:g}"
         )
-    powered, _, values = best
+    score, _, values = best
     return BruteForceReport(
         values=SupportSamples(values),
-        energy=float(powered ** (1.0 / p)),
-        powered_value=powered,
+        energy=score if hausdorff else score ** (1.0 / p),
+        powered_value=np.inf if hausdorff else score,
         area_slack=4.0 * area_slack if widened else area_slack,
         widened=widened,
     )

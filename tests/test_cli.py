@@ -57,6 +57,7 @@ def test_bad_alphas_entry_exit_code(tmp_path, capsys):
     "container",
     [
         "{type: disk, center: [0, .nan]}",
+        "{type: disk, center: [1]}",
         "{type: disk, radius: .inf}",
         "{type: scaled, factor: .inf, base: disk}",
         "{type: translated, offset: [0, .inf], base: disk}",
@@ -285,12 +286,78 @@ def test_there_is_no_threads_flag(tmp_path, capsys):
     assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
 
 
-def test_output_dir_env_default(tmp_path, monkeypatch):
+def test_output_dir_comes_from_the_config_only(tmp_path, monkeypatch):
+    # no environment variable stands in for a defaulted output_dir
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("CONVEXFIT_OUTDIR", str(env_dir))
+    monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, "cfg.yaml", "container: disk\np: 2\nalpha: 0.5\nn: 32\nseeds: 1\n")
-    assert main(["solve", str(cfg)]) == 0
-    assert (env_dir / "shape_nodal.csv").exists()
+    assert main(["solve", cfg]) == 0
+    assert (tmp_path / "out" / "shape_nodal.csv").exists()
+    assert not env_dir.exists()
+
+
+def test_container_file_path_exit_code(tmp_path, capsys):
+    spec = write(tmp_path, "shape.yaml", "{type: disk, radius: 2.0}\n")
+    cfg = write(tmp_path, "cfg.yaml", f"container: {spec}\n")
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: container: ")
+
+
+NESTED_SPEC = """\
+container:
+  type: minkowski_sum
+  parts:
+    - {type: polygon, vertices: [[0, 0], [2, 0], [1, 1.5]]}
+    - {type: scaled, factor: 0.5, base: {type: translated, offset: [0.25, -1], base: {type: disk, radius: 2, center: [1, 0]}}}
+p: 3
+"""
+
+NESTED_CANONICAL = """\
+alpha: 0.5
+base_seed: 0
+container:
+  parts:
+  - type: polygon
+    vertices:
+    - - 0.0
+      - 0.0
+    - - 2.0
+      - 0.0
+    - - 1.0
+      - 1.5
+  - base:
+      base:
+        center:
+        - 1.0
+        - 0.0
+        radius: 2.0
+        type: disk
+      offset:
+      - 0.25
+      - -1.0
+      type: translated
+    factor: 0.5
+    type: scaled
+  type: minkowski_sum
+m: 720
+method: nodal
+n: 256
+n_f: 32
+oracle_grid: 25
+output_dir: out
+p: 3.0
+q: 1024
+schema_version: 1
+seeds: 4
+# defaults applied: alpha, alphas, base_seed, m, method, n, n_f, oracle_grid, output_dir, ps, q, seeds, solver
+"""
+
+
+def test_validate_prints_a_nested_spec_canonically(tmp_path, capsys):
+    # every number a float, every mapping's keys sorted, at every depth
+    assert main(["validate", write(tmp_path, "nested.yaml", NESTED_SPEC)]) == 0
+    assert capsys.readouterr().out == NESTED_CANONICAL
 
 
 @pytest.mark.parametrize(

@@ -134,14 +134,13 @@ container:
     assert isinstance(cfg.container.right, Disk)
 
 
-def test_container_from_file(tmp_path):
+def test_container_file_path_is_an_error(tmp_path):
+    # `container:` takes a stock name or an inline spec, never a file to read
     spec_file = tmp_path / "shape.yaml"
     spec_file.write_text("{type: disk, radius: 2.0}\n")
-    cfg = parse_config(f"container: {spec_file}\n")
-    assert isinstance(cfg.container, Disk)
-    assert cfg.container.radius == 2.0
-    # the serialized form inlines the file contents
-    assert "radius" in serialize_config(cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"container: {spec_file}\n")
+    assert err.value.key == "container"
 
 
 def test_bad_container_type():

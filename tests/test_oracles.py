@@ -1,5 +1,7 @@
 """Analytic ground truths: inner-parallel optima, the p=1 identity, brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ class TestBruteForce:
     def test_cap_on_grid_points(self):
         with pytest.raises(Exception):
             brute_force_nodal(DISK, 6, 2.0, 0.25, 50)  # 50^6 > 1e8
+
+    @pytest.mark.parametrize("n, G, expected", [(5, 9, 0.5), (4, 6, 0.6)])
+    def test_infinite_p_minimizes_the_largest_gap(self, n, G, expected):
+        rep = brute_force_nodal(DISK, n, np.inf, 0.25, G)
+        h_c = support_samples(DISK, n).values
+        target = 0.25 * nodal_area(h_c)[0]
+        best = np.inf
+        for idx in itertools.product(range(G), repeat=n):
+            values = np.array(idx) * (h_c / (G - 1))
+            feasible = np.min(convexity_residuals(values)) >= 0.0
+            if feasible and abs(nodal_area(values)[0] - target) <= rep.area_slack:
+                best = min(best, float(np.max(h_c - values)))
+        assert rep.energy == pytest.approx(best, abs=1e-12)
+        assert rep.energy == pytest.approx(expected, abs=1e-12)
+        assert float(np.max(h_c - rep.values.values)) == rep.energy
+        assert rep.powered_value == np.inf
+        assert not rep.widened
 
     def test_report_fields(self):
         rep = brute_force_nodal(SQUARE, 4, 1.0, 0.25, 12)
