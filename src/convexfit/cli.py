@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, parse_config, serialize_config, solver_params_from
+from .config import ConfigError, parse_config, serialize_config
 from .exports import (
     export_csv,
     export_fourier_csv,
@@ -59,7 +59,6 @@ def _study_config(cfg, alphas=None, ps=None):
         seeds=cfg.seeds,
         base_seed=cfg.base_seed,
         output_dir=cfg.output_dir,
-        params=solver_params_from(cfg),
     )
 
 
@@ -82,17 +81,15 @@ def _emit_solve(cfg, result, tag):
 
 
 def _cmd_solve(cfg):
-    params = solver_params_from(cfg)
     warm = None
     if cfg.method in ("fourier", "both"):
         prob = FourierProblem(cfg.container, n_f=cfg.n_f, m=cfg.m, q=cfg.q, p=cfg.p, alpha=cfg.alpha)
-        warm = solve_fourier(prob, seeds=cfg.seeds, base_seed=cfg.base_seed, params=params, n_samples=cfg.n)
+        warm = solve_fourier(prob, seeds=cfg.seeds, base_seed=cfg.base_seed, n_samples=cfg.n)
         _emit_solve(cfg, warm, "fourier")
     if cfg.method != "fourier":  # nodal or both
         result = solve_nodal(
             NodalProblem(cfg.container, n=cfg.n, p=cfg.p, alpha=cfg.alpha),
-            init=warm.samples if warm else None, seeds=cfg.seeds,
-            base_seed=cfg.base_seed, params=params,
+            init=warm.samples if warm else None, seeds=cfg.seeds, base_seed=cfg.base_seed,
         )
         _emit_solve(cfg, result, "minimax" if math.isinf(cfg.p) else "nodal")
     return 0

@@ -23,7 +23,6 @@ from .geometry import (
     Translated,
     named_container,
 )
-from .solver import SolverParams
 
 SCHEMA_VERSION = 1
 
@@ -54,7 +53,6 @@ class RunConfig:
     seeds: int = 4
     base_seed: int = 0
     output_dir: str = "out"
-    solver: dict | None = None
     oracle_grid: int = 25
     defaults_applied: list = field(default_factory=list)
 
@@ -205,18 +203,6 @@ def parse_config(text, overrides=None):
     _require(alphas is None or all(b > a for a, b in zip(alphas, alphas[1:])), "must increase", "alphas")
     ps = as_floats("ps", lo=1.0, allow_inf=True)
 
-    solver = values["solver"]
-    if solver is not None:
-        _require(isinstance(solver, dict), "must be a mapping", "solver")
-        extra = set(solver) - {f.name for f in fields(SolverParams)}
-        _require(not extra, f"unknown keys {sorted(extra)}", "solver")
-        for k, v in solver.items():
-            try:
-                SolverParams(**{k: v})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc), f"solver.{k}") from exc
-        solver = {k: solver[k] for k in sorted(solver)}
-
     output_dir = values["output_dir"]
     _require(isinstance(output_dir, str) and output_dir, "must be a non-empty string", "output_dir")
     n_f, q = as_int("n_f", 1), as_int("q", 4)
@@ -237,7 +223,6 @@ def parse_config(text, overrides=None):
         seeds=as_int("seeds", 0),
         base_seed=as_int("base_seed", 0),
         output_dir=output_dir,
-        solver=solver,
         oracle_grid=as_int("oracle_grid", 2),
         defaults_applied=sorted(defaults_applied),
     )
@@ -258,8 +243,3 @@ def serialize_config(cfg):
         if value is not None:
             doc[name] = [token(v) for v in value] if isinstance(value, list) else token(value)
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
-
-
-def solver_params_from(cfg):
-    """SolverParams built from the config's solver overrides (if any)."""
-    return SolverParams(**(cfg.solver or {}))

@@ -61,7 +61,6 @@ class StudyConfig:
     seeds: int = 4
     base_seed: int = 0
     output_dir: str | None = None
-    params: object = None
 
     def __post_init__(self):
         if not self.alphas or not self.ps:
@@ -92,7 +91,6 @@ def _solve(cfg, index, p, alpha, svg, init=None):
         init=init,
         seeds=cfg.seeds,
         base_seed=seed_key(cfg.base_seed, index),
-        params=cfg.params,
     )
     _maybe_svg(cfg, result.samples, svg)
     return result
@@ -174,7 +172,7 @@ def compare_methods(cfg):
         """Solve into report[key] and report["energy_<key>"], writing the
         branch's figure and history; report["<key>_error"] if infeasible."""
         try:
-            result = solve(prob, seeds=cfg.seeds, params=cfg.params, **kwargs)
+            result = solve(prob, seeds=cfg.seeds, **kwargs)
         except InfeasibleError as exc:
             report[f"{key}_error"] = str(exc)
             return None
@@ -257,7 +255,7 @@ def equivalence_probe(cfg):
     """
     p, alpha = cfg.ps[0], cfg.alphas[0]
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
-    stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=seed_key(cfg.base_seed, 0), params=cfg.params)
+    stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=seed_key(cfg.base_seed, 0))
     f_val = stage1.energy
 
     n = prob.n
@@ -285,12 +283,12 @@ def equivalence_probe(cfg):
     starts = [stage1.samples.values.copy()]
     starts += _gather_starts(prob, None, cfg.seeds, seed_key(cfg.base_seed, 1))[0]
     try:
-        winner = run_multistart(nlp, starts, cfg.params, lambda x: nodal_area(x)[0])
+        winner = run_multistart(nlp, starts, None, lambda x: nodal_area(x)[0])
     except InfeasibleError as exc:
         raise InfeasibleError(f"area-minimization stage: {exc}") from None
     area = winner.energy
     blended = energy_of(_blend_to_area(winner.x, prob.container_values, prob.target_area), prob)
-    feas_tol = (cfg.params or SolverParams()).feas_tol
+    feas_tol = SolverParams().feas_tol
     report = {
         "p": p,
         "alpha": alpha,

@@ -32,6 +32,7 @@ from .geometry import (
     container_scale,
     gap_model,
     interior_point,
+    powered_energy,
     powered_gap,
     support_eval,
 )
@@ -218,7 +219,7 @@ def fourier_objective(shape, prob):
     """Rectangle-rule powered gap over the quadrature grid, with gradient.
 
     The gap h_C - h is clamped at zero before powering, as in the nodal
-    objective; the reported energy is value**(1/p).
+    objective; the reported energy is `geometry.powered_energy`'s J_p.
     """
     x = shape.to_vector() if isinstance(shape, FourierShape) else np.asarray(shape, float)
     if x.size != prob.dim:
@@ -334,12 +335,12 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     nlp.h0_builder = dense_h0_builder(nlp, obj_hessian)
 
     def energy_fn(x):
-        return fourier_objective(x, prob)[0] ** (1.0 / p)
+        return powered_energy(B @ x, prob.container_on_quadrature, p)[1]
 
     winner = run_multistart(nlp, starts, params, energy_fn)
     x = winner.x
     shape = FourierShape.from_vector(x)
-    powered = fourier_objective(x, prob)[0]
+    powered, _, sigma = powered_energy(B @ x, prob.container_on_quadrature, p)
     area = fourier_area(x)[0]
     residual = rows @ x - rhs
     row_violation = float(np.max(residual, initial=0.0))
@@ -348,7 +349,7 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
         note=f"blended row violation {row_violation:.1e}" if row_violation > 0 else "",
         samples=fourier_to_nodal(shape, n_samples),
         powered_value=powered,
-        sigma_normalized=float((powered / TWO_PI) ** (1.0 / p)),
+        sigma_normalized=sigma,
         p=p,
         area=area,
         area_residual=(area - prob.target_area) / area_scale,

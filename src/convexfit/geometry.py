@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ def _integer(value, what):
 def _finite_pair(value, what):
     """`value` as a tuple of two finite floats; GeometryError otherwise."""
     try:
+        if isinstance(value, (str, bytes)):  # "12" would iterate to (1, 2)
+            raise TypeError
         pair = tuple(float(c) for c in value)
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"{what} must be a pair of numbers, got {value!r}") from exc
@@ -313,6 +316,25 @@ def powered_gap(values, container_values, p, ref=1.0):
     value = w * np.sum(gap**p)
     grad = -(p / ref) * w * gap ** (p - 1.0) if p > 1.0 else -(w / ref) * (gap > 0.0)
     return float(value), grad, gap
+
+
+def powered_energy(values, container_values, p):
+    """(powered, J_p, sigma) of finite p on K uniform samples.
+
+    powered is `powered_gap`'s value, J_p = powered^(1/p) and sigma =
+    (powered / 2 pi)^(1/p).  Where powered is 0, subnormal or inf, though
+    the gap is positive and finite, those roots read 0 or inf; there J_p is
+    recomputed as M ((2 pi/K) sum (g/M)^p)^(1/p) with M = max g (0 when
+    M = 0), and sigma = J_p / (2 pi)^(1/p).
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        powered = powered_gap(values, container_values, p)[0]
+        if sys.float_info.min <= powered < math.inf:
+            return powered, powered ** (1.0 / p), float((powered / TWO_PI) ** (1.0 / p))
+        gap = np.maximum(container_values - values, 0.0)
+        top = float(np.max(gap, initial=0.0))
+        energy = top * float(TWO_PI / gap.size * np.sum((gap / top) ** p)) ** (1.0 / p) if top else 0.0
+    return powered, energy, energy / TWO_PI ** (1.0 / p)
 
 
 def gap_model(container_values, p, anchor_values, scale):

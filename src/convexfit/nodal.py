@@ -33,6 +33,7 @@ from .geometry import (
     gap_model,
     grid_constants,
     interior_point,
+    powered_energy,
     powered_gap,
     support_samples,
     unit_vector,
@@ -127,7 +128,7 @@ def energy_of(h, prob):
     v = _values(h)
     if math.isinf(prob.p):
         return float(np.max(np.maximum(prob.container_values - v, 0.0)))
-    return float(powered_gap(v, prob.container_values, prob.p)[0] ** (1.0 / prob.p))
+    return powered_energy(v, prob.container_values, prob.p)[1]
 
 
 def convexify(values):
@@ -364,8 +365,7 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     if math.isinf(prob.p):
         powered, sigma = float("inf"), winner.energy
     else:
-        powered = powered_gap(values, prob.container_values, prob.p)[0]
-        sigma = float((powered / TWO_PI) ** (1.0 / prob.p))
+        powered, _, sigma = powered_energy(values, prob.container_values, prob.p)
     flagged = float(np.min(report.convexity)) >= -convexity_tolerance(values)
     return SolveResult.from_winner(
         winner,

@@ -85,6 +85,7 @@ class NlpProblem:
 
 
 # Fixed policy of the method of multipliers and its line search.
+RHO0 = 10.0  # start penalty
 RHO_GROWTH = 10.0  # penalty factor when the violation fails to shrink
 RHO_MAX = 1e8
 VIOLATION_SHRINK = 4.0  # shrink factor that spares the penalty a raise
@@ -96,21 +97,19 @@ MAX_BACKTRACKS = 40
 
 @dataclass
 class SolverParams:
-    """The settable part of the solver: start penalty, tolerances, budgets.
+    """The settable part of the solver, for Python callers: tolerances and budgets.
 
     The defaults are the shape solvers': tight feasibility and at most 150
     inner iterations per outer one (each inner iteration is a Newton step).
-    Its fields and checks are also those of the YAML `solver:` block.
     """
 
-    rho0: float = 10.0
     outer_tol: float = 1e-6
     feas_tol: float = 1e-8
     max_outer: int = 30
     max_inner: int = 150
 
     def __post_init__(self):
-        for name in ("rho0", "outer_tol", "feas_tol"):
+        for name in ("outer_tol", "feas_tol"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and 0 < value <= sys.float_info.max):  # also rejects nan
@@ -364,7 +363,7 @@ def solve_nlp(problem, x0, params=None):
 
     lam = np.zeros(problem.n_ineq)
     mu = 0.0
-    rho = params.rho0
+    rho = RHO0
 
     f0, g0 = problem.objective(x)
     if not (np.isfinite(f0) and np.all(np.isfinite(g0))):

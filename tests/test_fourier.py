@@ -26,7 +26,7 @@ from convexfit.fourier import (
     solve_fourier,
     truncate_container,
 )
-from convexfit.geometry import Disk, GeometryError, named_container, support_eval
+from convexfit.geometry import Disk, GeometryError, named_container, powered_energy, support_eval
 from convexfit.multistart import InfeasibleError
 from convexfit.solver import SolverParams, feasibility_bound, violation
 
@@ -315,6 +315,15 @@ class TestSolve:
         prob = FourierProblem(DISK, n_f=24, m=240, q=384, p=64.0, alpha=0.25)
         res = solve_fourier(prob, seeds=2, base_seed=0)
         assert abs(res.energy - 0.5) <= 0.05
+
+    def test_large_p_energy_does_not_underflow(self):
+        # (2 pi/Q) sum g^400 underflows to 0 for gaps near 0.1
+        prob = FourierProblem(DISK, n_f=8, m=64, q=128, p=400.0, alpha=0.81)
+        res = solve_fourier(prob, seeds=0)
+        x = FourierShape(*res.fourier_coefficients).to_vector()
+        _, energy, _ = powered_energy(prob.quadrature_basis @ x, prob.container_on_quadrature, prob.p)
+        assert res.energy > 0.0
+        assert res.energy == energy
 
     def test_rooted_objective_same_argmin(self, monkeypatch):
         # optimizing value**(1/p) instead of the powered value keeps the minimizers

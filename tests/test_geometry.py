@@ -1,5 +1,7 @@
 """Support-function calculus: exact values, functionals, reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from convexfit.geometry import (
     Scaled,
     Stadium,
     SupportSamples,
+    TWO_PI,
     Translated,
     container_area,
     container_perimeter,
@@ -25,6 +28,8 @@ from convexfit.geometry import (
     named_container,
     perimeter_from_support,
     polygon_area,
+    powered_energy,
+    powered_gap,
     reconstruct_boundary,
     support_eval,
     support_samples,
@@ -97,11 +102,14 @@ class TestSupportEval:
         lambda: Translated(DISK, (1.0,)),
         lambda: Translated(DISK, (1.0, 2.0, 3.0)),
         lambda: Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, np.inf)]),
+        lambda: Disk("12", 1.0),
+        lambda: Translated(DISK, b"05"),
     ],
     ids=[
         "disk-center-nan", "disk-radius-inf", "disk-center-short", "stadium-half-length-inf",
         "stadium-radius-inf", "stadium-axis-nan", "scaled-factor-inf", "translated-offset-inf",
         "translated-offset-short", "translated-offset-long", "polygon-vertex-inf",
+        "disk-center-string", "translated-offset-bytes",
     ],
 )
 def test_container_parameters_must_be_finite_pairs(make):
@@ -145,6 +153,28 @@ class TestPerimeter:
         assert perimeter_from_support(support_samples(STADIUM, 360)) == pytest.approx(
             4.0 + 2 * np.pi, abs=1e-2
         )
+
+
+class TestPoweredEnergy:
+    def test_plain_values_are_the_rooted_powered_gap(self):
+        c = support_samples(DISK, 64).values
+        powered, energy, sigma = powered_energy(0.7 * c, c, 8.0)
+        assert powered == powered_gap(0.7 * c, c, 8.0)[0]
+        assert energy == powered ** (1.0 / 8.0)
+        assert sigma == float((powered / TWO_PI) ** (1.0 / 8.0))
+
+    @pytest.mark.parametrize("gap", [0.1, 10.0], ids=["underflow", "overflow"])
+    def test_a_constant_gap_at_large_p(self, gap):
+        # 0.1^400 underflows to 0 and 10^400 overflows to inf
+        c = np.full(64, 20.0)
+        powered, energy, sigma = powered_energy(c - gap, c, 400.0)
+        assert powered in (0.0, math.inf)
+        assert energy == pytest.approx(gap * TWO_PI ** (1.0 / 400.0), rel=1e-12)
+        assert sigma == pytest.approx(gap, rel=1e-12)
+
+    def test_no_gap_is_zero(self):
+        c = np.full(64, 20.0)
+        assert powered_energy(c, c, 400.0) == (0.0, 0.0, 0.0)
 
 
 class TestHausdorff:

@@ -15,6 +15,7 @@ from convexfit.fourier import FourierProblem
 from convexfit.geometry import (
     Disk,
     GeometryError,
+    Scaled,
     SupportSamples,
     convexity_residuals,
     named_container,
@@ -214,6 +215,20 @@ class TestSolve:
         res = solve_nodal(prob, seeds=1, base_seed=2)
         assert res.powered_value == nodal_objective(res.samples, prob)[0]
         assert res.energy == energy_of(res.samples, prob)
+
+    def test_large_p_energy_does_not_underflow(self):
+        # (2 pi/N) sum g^400 underflows to 0 for gaps near 0.1
+        prob = NodalProblem(DISK, n=64, p=400.0, alpha=0.81)
+        res = solve_nodal(prob, seeds=0)
+        assert res.powered_value == 0.0
+        assert res.energy == pytest.approx(0.100461, abs=1e-6)
+        assert 0.0 < res.sigma_normalized <= 1.0 - math.sqrt(prob.alpha)
+
+    def test_large_p_energy_does_not_overflow(self):
+        # g^450 overflows for gaps near 5; no RuntimeWarning may escape
+        res = solve_nodal(NodalProblem(Scaled(DISK, 10.0), n=64, p=450.0, alpha=0.25), seeds=0)
+        assert math.isfinite(res.energy) and res.energy > 0.0
+        assert math.isfinite(res.sigma_normalized)
 
 
 def band_by_band_seed(nlp, n, hess, eg, act, rho):

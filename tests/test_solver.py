@@ -226,7 +226,7 @@ def test_a_problem_without_seed_is_refused():
         solve_nlp(prob, np.zeros(2))
 
 
-@pytest.mark.parametrize("name", ["rho0", "outer_tol", "feas_tol"])
+@pytest.mark.parametrize("name", ["outer_tol", "feas_tol"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "abc", None])
 def test_tolerances_must_be_finite_and_positive(name, value):
     # feas_tol = inf used to certify infeasible shapes as converged; True
@@ -236,8 +236,6 @@ def test_tolerances_must_be_finite_and_positive(name, value):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(rho0=-1.0)
     with pytest.raises(ValueError):
         SolverParams(outer_tol=0.0)
     for budget in (0.5, 2.7, 12.0, 0, -3, True):
