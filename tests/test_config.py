@@ -66,6 +66,23 @@ def test_a_solver_key_is_unknown():
     assert "solver" in str(err.value)
 
 
+def test_unknown_solver_key():
+    with pytest.raises(ConfigError, match="unknown keys") as err:
+        parse_config("container: disk\nsolver: {step_size: 0.1}\n")
+    assert "solver" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["rho_growth", "rho_max", "violation_shrink", "memory"])
+def test_fixed_solver_policy_is_not_a_key(key):
+    # the penalty policy is fixed in convexfit.solver: neither a solver block
+    # nor a top-level key can set it
+    for text, named in ((f"container: disk\nsolver: {{{key}: 10}}\n", "solver"),
+                        (f"container: disk\n{key}: 10\n", key)):
+        with pytest.raises(ConfigError, match="unknown keys") as err:
+            parse_config(text)
+        assert named in str(err.value)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ConfigError) as err:
         parse_config("container: [unclosed\n")
