@@ -9,7 +9,6 @@ theta_j = 2*pi*j/N, j = 0..N-1 (indices wrap modulo N).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
@@ -218,12 +217,9 @@ class SupportSamples:
 
     Values may be negative: the support function of a body that does not
     contain the origin dips below zero, which is perfectly valid here.
-    `convex_checked` records that the discrete convexity residuals have been
-    verified nonnegative (up to the scale-invariant tolerance).
     """
 
     values: np.ndarray
-    convex_checked: bool = dataclasses.field(default=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -248,7 +244,7 @@ def support_samples(spec, n):
     if n < 3:
         raise GeometryError("need at least 3 sample angles")
     theta = TWO_PI * np.arange(n) / n
-    return SupportSamples(support_eval(spec, theta), convex_checked=True)
+    return SupportSamples(support_eval(spec, theta))
 
 
 @functools.lru_cache(maxsize=64)
@@ -281,19 +277,17 @@ def convexity_tolerance(h):
 
 
 def ensure_convex(h, tol=None):
-    """Return `h` flagged convex_checked, or raise if residuals dip below -tol.
+    """Return `h` as SupportSamples, or raise if residuals dip below -tol.
 
     `tol` defaults to the scale-invariant tolerance; callers inspecting
     solver output may pass a looser one (iterates satisfy the constraints
     only to the solver's feasibility tolerance).
     """
-    if isinstance(h, SupportSamples) and h.convex_checked:
-        return h
     samples = h if isinstance(h, SupportSamples) else SupportSamples(h)
     worst = float(np.min(convexity_residuals(samples)))
     if worst < -(convexity_tolerance(samples) if tol is None else tol):
         raise GeometryError(f"samples are not discretely convex (min residual {worst:g})")
-    return dataclasses.replace(samples, convex_checked=True)
+    return samples
 
 
 def perimeter_from_support(h):

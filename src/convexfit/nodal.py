@@ -29,7 +29,6 @@ from .geometry import (
     _integer,
     container_scale,
     convexity_residuals,
-    convexity_tolerance,
     gap_model,
     grid_constants,
     interior_point,
@@ -366,10 +365,9 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
         powered, sigma = float("inf"), winner.energy
     else:
         powered, _, sigma = powered_energy(values, prob.container_values, prob.p)
-    flagged = float(np.min(report.convexity)) >= -convexity_tolerance(values)
     return SolveResult.from_winner(
         winner,
-        samples=SupportSamples(values, convex_checked=flagged),
+        samples=SupportSamples(values),
         powered_value=powered,
         sigma_normalized=sigma,
         p=prob.p,

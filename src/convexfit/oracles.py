@@ -8,6 +8,7 @@ shape for the reverse isoperimetric triangle conjecture.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .geometry import (
     container_area,
     grid_constants,
     inner_parallel,
+    powered_energy,
     support_samples,
 )
 from .multistart import per_cpu_map
@@ -127,11 +129,14 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     kept points satisfy every discrete convexity residual >= 0 and match the
     target area within `area_slack` = the largest single-grid-step area
     change at the container configuration (widened once, by 4x, if nothing
-    qualifies).  Points score their powered gap, or at p = inf their largest
-    gap (the `energy`; `powered_value` is then inf, as in `solve_nodal`).
-    Ties on the score break to the lowest enumeration index.  The outer
-    grid dimension is scanned in chunks, one per CPU (`per_cpu_map`); the
-    best of each chunk is exact and the reduction keeps the lowest (score,
+    qualifies).  Points score their powered gap (`powered_value`), and the
+    `energy` is its p-th root J_p; at p = inf they score their largest gap,
+    which is the energy, and `powered_value` is inf, as in `solve_nodal`.
+    Where a chunk's best score is 0, subnormal or inf (large p), its
+    feasible points are ranked by `powered_energy`'s scale-safe J_p
+    instead.  Ties break to the lowest enumeration index.  The outer grid
+    dimension is scanned in chunks, one per CPU (`per_cpu_map`); the best
+    of each chunk is exact and the reduction keeps the lowest (energy,
     index) pair, so the report is bitwise the same for any number of
     processes.
     """
@@ -156,7 +161,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     ).reshape(-1, n - 1)
 
     def scan_chunk(i0, slack):
-        """(score, flat_index, values) of the best feasible point, or None."""
+        """(energy, flat_index, values, score) of the best feasible point, or None."""
         H = np.empty((tail.shape[0], n))
         H[:, 0] = i0 * steps[0]
         H[:, 1:] = tail * steps[1:]
@@ -167,13 +172,26 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         if not np.any(feas):
             return None
         gaps = np.maximum(h_c - H, 0.0)
-        score = np.max(gaps, axis=1) if hausdorff else w * np.sum(gaps**p, axis=1)
+        if hausdorff:
+            score = np.max(gaps, axis=1)
+        else:
+            with np.errstate(over="ignore", under="ignore"):
+                score = w * np.sum(gaps**p, axis=1)
         score[~feas] = np.inf
         k = int(np.argmin(score))
-        return float(score[k]), i0 * tail.shape[0] + k, H[k].copy()
+        if hausdorff:
+            energy = float(score[k])
+        elif sys.float_info.min <= score[k] < np.inf:
+            energy = float(score[k]) ** (1.0 / p)
+        else:  # the plain scores under- or overflow: rank the feasible rows by J_p
+            rows = np.flatnonzero(feas)
+            energies = [powered_energy(H[i], h_c, p)[1] for i in rows]
+            k = int(rows[np.argmin(energies)])
+            energy = min(energies)
+        return energy, i0 * tail.shape[0] + k, H[k].copy(), float(score[k])
 
     def full_scan(slack):
-        """The chunks' best: lowest score, ties to the lowest flat index."""
+        """The chunks' best: lowest energy, ties to the lowest flat index."""
         found = [out for out in per_cpu_map(lambda i: scan_chunk(i, slack), G) if out is not None]
         return min(found, key=lambda out: out[:2], default=None)
 
@@ -186,10 +204,10 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         raise OracleNotApplicable(
             f"no feasible grid point within area slack {4 * area_slack:g}"
         )
-    score, _, values = best
+    energy, _, values, score = best
     return BruteForceReport(
         values=SupportSamples(values),
-        energy=score if hausdorff else score ** (1.0 / p),
+        energy=energy,
         powered_value=np.inf if hausdorff else score,
         area_slack=4.0 * area_slack if widened else area_slack,
         widened=widened,

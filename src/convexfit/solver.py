@@ -365,9 +365,13 @@ def solve_nlp(problem, x0, params=None):
     mu = 0.0
     rho = RHO0
 
-    f0, g0 = problem.objective(x)
-    if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
+    with np.errstate(over="ignore"):  # the checks below report an overflow
+        f0, g0 = problem.objective(x)
+        g0_norm = float(np.linalg.norm(g0))
+    if not np.isfinite(f0):
         raise SolverAbort("objective not finite at x0")
+    if not np.isfinite(g0_norm):
+        raise SolverAbort(f"gradient 2-norm overflows at x0 (objective {f0:.3g})")
     gscale = max(1.0, float(np.linalg.norm(g0, np.inf)))
     feas = feasibility_bound(problem, params)
 

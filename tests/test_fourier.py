@@ -379,15 +379,15 @@ class TestSolve:
 PINNED_SOLVES = {
     "square_p10": [
         "11f278df62dd6ca23536c98510bd1cf9217e691d6db0bfd0bc84e7be719f6160",
-        "214ccc480ebad266c04aae840b4b747a41ba1966a8b285ccdf964d73b5def6e5",
+        "ba54acd5c107573a519acfab9f36605a9d6ded95ba2c4ca38c96295e45511806",
     ],
     "disk_p2": [
         "89e7dba75882f887b622526cb50b73d2c888d6b199810ccc334d0baa051e9957",
-        "6407c327497ba20126a3b24f847f3fe51ebf5401c49a60687265715a8edb6408",
+        "e908546b28790f5a2d047a120ab5e4e2721cdc9eb199c367355c0817b8a29dbb",
     ],
     "pentagon_p1": [
         "5bcd00286fd18f8dc97a10096e9738995baa5a43c8c47c6b6cef25282824442e",
-        "c214a359095471271cac4aa18ce828d38351296eba62c0d391d6930e5c03097f",
+        "93cc6fe5df143ba80e30a244eefdccd58ca4cfd85782efa4d3df09c7834d286b",
     ],
 }
 PLATFORM_PROBE = "1de34d3473ca69ba40e4b2df7e2bd21d4b20a18cbbd481b824d4d917f98d24a5"

@@ -8,18 +8,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convexfit.experiments import StudyConfig, equivalence_probe, gamma_sweep
 from convexfit.fourier import FourierProblem
 from convexfit.geometry import (
     Disk,
     GeometryError,
+    Polygon,
     Scaled,
     SupportSamples,
+    TWO_PI,
     convexity_residuals,
     named_container,
     polygon_area,
+    polygon_centroid,
+    powered_energy,
     reconstruct_boundary,
     support_samples,
     unit_vector,
@@ -230,6 +234,15 @@ class TestSolve:
         assert math.isfinite(res.energy) and res.energy > 0.0
         assert math.isfinite(res.sigma_normalized)
 
+    def test_a_start_that_overflows_the_scaled_objective_aborts(self):
+        # two random starts' gaps raised to the 400th power overflow the
+        # gradient's 2-norm; they abort instead of ending infeasible with
+        # overflow warnings and a NaN KKT residual
+        res = solve_nodal(NodalProblem(DISK, n=64, p=400.0, alpha=0.81), seeds=3, base_seed=0)
+        assert (res.energy, res.status) == (0.10046052505657409, "converged")
+        assert "start 1: gradient 2-norm overflows at x0" in res.message
+        assert "start 2: gradient 2-norm overflows at x0" in res.message
+
 
 def band_by_band_seed(nlp, n, hess, eg, act, rho):
     """The nodal seed filled band by band into a zero matrix: the reference
@@ -395,6 +408,35 @@ def test_discrete_convexity_implies_geometric(seed):
     assert chain_convexity_defect(chain) >= -reconstruction_tolerance(chain)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=8),
+    st.floats(0.05, 0.95),
+    st.sampled_from([16, 64]),
+    st.one_of(st.floats(0.0, 4.0).map(lambda e: 10.0**e), st.just(math.inf)),
+)
+def test_energy_is_a_positive_mean_of_the_gaps_at_any_p(points, s, n, p):
+    # a random convex polygon and its copy shrunk about the centroid by s:
+    # every gap is positive, and J_p lies between (2 pi)^(1/p) min g and
+    # (2 pi)^(1/p) max g however far g^p under- or overflows
+    try:
+        container = Polygon(np.array(points))
+    except GeometryError:
+        assume(False)
+    prob = NodalProblem(container, n=n, p=p)
+    shift = unit_vector(prob.angles) @ polygon_centroid(container.vertices)
+    values = s * (prob.container_values - shift) + shift
+    gap = np.maximum(prob.container_values - values, 0.0)
+    assume(np.min(gap) > 0.0)
+    if math.isinf(p):
+        assert energy_of(values, prob) == np.max(gap)
+        return
+    low, high = TWO_PI ** (1.0 / p) * np.min(gap), TWO_PI ** (1.0 / p) * np.max(gap)
+    for energy in (energy_of(values, prob), powered_energy(values, prob.container_values, p)[1]):
+        assert math.isfinite(energy) and energy > 0.0
+        assert low * (1.0 - 1e-12) <= energy <= high * (1.0 + 1e-12)
+
+
 def test_off_center_container_with_negative_support():
     # origin outside the body: support values go negative, the interior
     # point recentres every construction
@@ -430,11 +472,11 @@ def test_target_area_uses_discrete_container_measure():
 PINNED_SOLVES = {
     "sweep_disk_n128": [
         "514ed2195043a1b01798e8e02770d07ab2a8d844076f9ed6227e3590a2d80bc3",
-        "340ed1ebdddeacdb24f55d5267dccc1d07a645e2f538e80da4fb23c2825583cd",
+        "f3385bdf375c2d8bfad893211583c9c1fc1ddd6bf363e4326ef6f7a04e413452",
     ],
-    "square_pinf": "246050240c6761e5065396078ba39589cf512cf46e62810a60ec945433eb57c0",
-    "probe_p4": "35128ebd431e73d0aa7f23994c7c17db33ec9f2fd878b50aa2f1c1e55fb7e5a6",
-    "probe_pinf": "dd03bcd86b40934960153aaf7716b7e4b92ec5f99d894217c9a424d636c0249a",
+    "square_pinf": "f6ac8858526e1cb3ee9e781b52514cc65e03b4c3f3dba91c993217853bacc552",
+    "probe_p4": "c62f9f6c06c21bd387dba73f8a1faaf6bd5c62851f0c0db9567e88ab8b9c25fd",
+    "probe_pinf": "bf7f4f1c4f7031ce2c33dc34d0ef6bcd0959f636be44b77c020220423869154a",
 }
 
 

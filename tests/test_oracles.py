@@ -14,6 +14,7 @@ from convexfit.geometry import (
     container_area,
     named_container,
     perimeter_from_support,
+    powered_energy,
     support_samples,
     unit_vector,
     interior_point,
@@ -145,6 +146,28 @@ class TestBruteForce:
         assert float(np.max(h_c - rep.values.values)) == rep.energy
         assert rep.powered_value == np.inf
         assert not rep.widened
+
+    @pytest.mark.parametrize(
+        "name, p, energy, shape",
+        [
+            ("disk", 512.0, 0.501298, [0.5, 0.5, 0.625, 0.5, 0.625]),
+            ("disk", 2048.0, 0.500324, [0.5, 0.5, 0.625, 0.5, 0.625]),
+            ("square", 2048.0, 0.630320, [0.375, 0.630037, 0.873001, 0.873001, 0.630037]),
+        ],
+    )
+    def test_large_p_ranks_by_the_scale_safe_energy(self, name, p, energy, shape):
+        # at p = 2048 the plain scores (2 pi/N) sum g^p of these grids read 0 or inf
+        container = named_container(name)
+        rep = brute_force_nodal(container, 5, p, 0.25, 9)
+        h_c = support_samples(container, 5).values
+        assert rep.energy == pytest.approx(energy, abs=1e-6)
+        np.testing.assert_allclose(rep.values.values, shape, atol=1e-6)
+        powered, j_p, _ = powered_energy(rep.values.values, h_c, p)
+        assert (rep.powered_value, rep.energy) == (powered, j_p)
+
+    @pytest.mark.parametrize("p", [2048.0, 1e4])
+    def test_large_p_energy_is_positive(self, p):
+        assert brute_force_nodal(DISK, 4, p, 0.25, 5).energy > 0.0
 
     def test_report_fields(self):
         rep = brute_force_nodal(SQUARE, 4, 1.0, 0.25, 12)

@@ -211,6 +211,18 @@ def test_nonfinite_objective_aborts():
         solve_nlp(prob, np.zeros(1))
 
 
+def test_an_overflowing_gradient_norm_aborts_and_says_so():
+    # finite entries whose squares overflow: the 2-norm is inf, and the
+    # check itself must not warn
+    def steep(x):
+        return 1e300, np.full(2, 1e200)
+
+    prob = NlpProblem(dim=2, objective=steep)
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(2))
+    with pytest.raises(SolverAbort, match="gradient 2-norm overflows at x0"):
+        solve_nlp(prob, np.zeros(2))
+
+
 def test_singular_seed_aborts_and_names_it():
     # a seed whose matrix has no inverse: numpy's LinAlgError must not escape
     prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]))
