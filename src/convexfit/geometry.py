@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +78,8 @@ def _cross2(a, b):
 def _hull_ccw(points):
     """Strictly convex hull in CCW order (collinear points dropped).
 
-    Andrew's monotone chain; deterministic for identical input.
+    Andrew's monotone chain; deterministic for identical input.  Degenerate
+    input gives 1 point (all equal) or the 2 ends of a segment (collinear).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -91,7 +92,7 @@ def _hull_ccw(points):
     keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 0, axis=1)
     pts = pts[keep]
     if len(pts) < 3:
-        raise GeometryError("polygon needs at least 3 distinct vertices")
+        return pts
 
     def half(seq):
         out = []
@@ -101,12 +102,7 @@ def _hull_ccw(points):
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:
-        raise GeometryError("polygon vertices are collinear")
-    return hull
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +113,12 @@ class Polygon(ContainerSpec):
 
     def __post_init__(self):
         hull = _hull_ccw(self.vertices)
+        if len(hull) < 3:
+            distinct = len(np.unique(np.asarray(self.vertices, dtype=float), axis=0))
+            raise GeometryError(
+                "polygon vertices are collinear" if distinct >= 3
+                else "polygon needs at least 3 distinct vertices"
+            )
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 
@@ -412,89 +414,76 @@ def polygon_centroid(chain):
 # ---------------------------------------------------------------------------
 
 
-def _polygonal(spec):
-    """Explicit Polygon equal to `spec`, or None if a disk part is involved."""
+def _rounded_core(spec):
+    """(vertices, radius, point): `spec` as conv(vertices) + radius * B.
+
+    Every container kind is a convex polygon, segment or point (its core,
+    vertices as `_hull_ccw` returns them) thickened by a disk of radius
+    r >= 0, so its area, perimeter and inner parallel bodies follow from
+    Steiner's formula.  `point` lies strictly inside: a polygon's centroid,
+    a disk's centre, the origin for a stadium, carried through scalings,
+    translations and sums.
+    """
     if isinstance(spec, Polygon):
-        return spec
+        return spec.vertices, 0.0, polygon_centroid(spec.vertices)
+    if isinstance(spec, Disk):
+        center = np.asarray(spec.center, dtype=float)
+        return center[None, :], spec.radius, center
+    if isinstance(spec, Stadium):
+        end = spec.half_length * unit_vector(spec.axis)
+        return _hull_ccw([-end, end]), spec.radius, np.zeros(2)
     if isinstance(spec, Scaled):
-        base = _polygonal(spec.base)
-        return Polygon(base.vertices * spec.factor) if base is not None else None
+        vertices, radius, point = _rounded_core(spec.base)
+        return spec.factor * vertices, spec.factor * radius, spec.factor * point
     if isinstance(spec, Translated):
-        base = _polygonal(spec.base)
-        if base is None:
-            return None
-        return Polygon(base.vertices + np.asarray(spec.offset))
+        vertices, radius, point = _rounded_core(spec.base)
+        offset = np.asarray(spec.offset)
+        return vertices + offset, radius, point + offset
     if isinstance(spec, MinkowskiSum):
-        a, b = _polygonal(spec.left), _polygonal(spec.right)
-        if a is None or b is None:
-            return None
-        sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 2)
-        return Polygon(sums)
-    return None
+        (va, ra, za), (vb, rb, zb) = _rounded_core(spec.left), _rounded_core(spec.right)
+        return _hull_ccw((va[:, None, :] + vb[None, :, :]).reshape(-1, 2)), ra + rb, za + zb
+    raise GeometryError(f"unknown container spec: {spec!r}")
+
+
+def _core_area_perimeter(vertices):
+    """Area and perimeter of conv(vertices); a segment has area 0 and
+    perimeter twice its length.
+
+    The shoelace runs about the multiple of g = 8 * 2^ceil(log2(size))
+    nearest the first vertex: the origin for a core within 4 sizes of it,
+    else a point beside the core, so a far translation does not cancel the
+    area away (a pentagon moved by (1e8, 1e8) would read 3.0, not 2.18).
+    """
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    perimeter = float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+    if len(vertices) < 3:
+        return 0.0, perimeter
+    grid = 8.0 * 2.0 ** math.ceil(math.log2(float(np.max(np.ptp(vertices, axis=0)))))
+    return polygon_area(vertices - grid * np.round(vertices[0] / grid)), perimeter
 
 
 def container_perimeter(spec):
-    """Exact perimeter (additive under Minkowski sums)."""
-    if isinstance(spec, Polygon):
-        e = np.roll(spec.vertices, -1, axis=0) - spec.vertices
-        return float(np.sum(np.hypot(e[:, 0], e[:, 1])))
-    if isinstance(spec, Disk):
-        return TWO_PI * spec.radius
-    if isinstance(spec, Stadium):
-        return 4.0 * spec.half_length + TWO_PI * spec.radius
-    if isinstance(spec, Scaled):
-        return spec.factor * container_perimeter(spec.base)
-    if isinstance(spec, Translated):
-        return container_perimeter(spec.base)
-    if isinstance(spec, MinkowskiSum):
-        return container_perimeter(spec.left) + container_perimeter(spec.right)
-    raise GeometryError(f"unknown container spec: {spec!r}")
+    """Exact perimeter P(core) + 2 pi r."""
+    vertices, radius, _ = _rounded_core(spec)
+    return _core_area_perimeter(vertices)[1] + TWO_PI * radius
 
 
 def container_area(spec):
-    """Area of the container; closed form except for exotic Minkowski sums."""
-    if isinstance(spec, Polygon):
-        return polygon_area(spec.vertices)
-    if isinstance(spec, Disk):
-        return float(np.pi * spec.radius**2)
-    if isinstance(spec, Stadium):
-        return float(4.0 * spec.half_length * spec.radius + np.pi * spec.radius**2)
-    if isinstance(spec, Scaled):
-        return spec.factor**2 * container_area(spec.base)
-    if isinstance(spec, Translated):
-        return container_area(spec.base)
-    if isinstance(spec, MinkowskiSum):
-        for k, other in ((spec.left, spec.right), (spec.right, spec.left)):
-            if isinstance(k, Disk):
-                # Steiner: |K + rB| = |K| + r P(K) + pi r^2
-                return (
-                    container_area(other)
-                    + k.radius * container_perimeter(other)
-                    + float(np.pi * k.radius**2)
-                )
-        poly = _polygonal(spec)
-        if poly is not None:
-            return polygon_area(poly.vertices)
-        # fallback: dense boundary reconstruction
-        return polygon_area(reconstruct_boundary(support_samples(spec, 4096)))
-    raise GeometryError(f"unknown container spec: {spec!r}")
+    """Exact area |core| + r P(core) + pi r^2 (Steiner)."""
+    vertices, radius, _ = _rounded_core(spec)
+    area, perimeter = _core_area_perimeter(vertices)
+    return float(area + radius * perimeter + np.pi * radius**2)
 
 
 def interior_point(spec):
-    """A point strictly inside the body (exact, recursive)."""
-    if isinstance(spec, Polygon):
-        return polygon_centroid(spec.vertices)
-    if isinstance(spec, Disk):
-        return np.asarray(spec.center, dtype=float)
-    if isinstance(spec, Stadium):
-        return np.zeros(2)
-    if isinstance(spec, Scaled):
-        return spec.factor * interior_point(spec.base)
-    if isinstance(spec, Translated):
-        return interior_point(spec.base) + np.asarray(spec.offset)
-    if isinstance(spec, MinkowskiSum):
-        return interior_point(spec.left) + interior_point(spec.right)
-    raise GeometryError(f"unknown container spec: {spec!r}")
+    """A point strictly inside the body (exact)."""
+    return _rounded_core(spec)[2]
+
+
+def curvature_floor(spec):
+    """Largest r with boundary curvature radius >= r everywhere: the radius
+    of the disk that thickens the core."""
+    return _rounded_core(spec)[1]
 
 
 def container_bounds(spec):
@@ -533,8 +522,7 @@ def _clip_halfplane(points, normal, offset):
     return np.array(out) if out else np.empty((0, 2))
 
 
-def _polygon_inner_parallel(poly, t):
-    verts = poly.vertices
+def _polygon_inner_parallel(verts, t):
     edges = np.roll(verts, -1, axis=0) - verts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
@@ -547,48 +535,45 @@ def _polygon_inner_parallel(poly, t):
         result = Polygon(pts)
     except GeometryError as exc:
         raise EmptyInteriorError(f"inner offset {t:g} degenerates the polygon") from exc
-    if polygon_area(result.vertices) <= 1e-12 * max(1.0, polygon_area(verts)):
+    if _core_area_perimeter(result.vertices)[0] <= 1e-12 * max(1.0, _core_area_perimeter(verts)[0]):
         raise EmptyInteriorError(f"inner offset {t:g} empties the polygon")
     return result
+
+
+def _rounded_body(vertices, radius):
+    """A container spec for conv(vertices) + radius * B, radius > 0."""
+    hull = _hull_ccw(vertices)  # a scaled or translated core may have lost strict convexity
+    if len(hull) > 2:
+        return MinkowskiSum(Polygon(vertices), Disk((0.0, 0.0), radius))  # the same hull
+    if len(hull) == 1:
+        return Disk(hull[0], radius)
+    a, b = hull
+    dx, dy = b - a
+    return Translated(Stadium(0.5 * math.hypot(dx, dy), radius, math.atan2(dy, dx)), 0.5 * (a + b))
 
 
 def inner_parallel(spec, t):
     """Inner parallel body at distance t (points at distance >= t from the boundary).
 
-    Disks, stadiums and Minkowski sums with a disk part shed radius directly;
-    polygons are offset edge by edge and re-hulled.  A general h - t is *not*
-    used: it is a support function only when the curvature of the boundary
-    stays >= t everywhere.
+    With spec = core + rB (`_rounded_core`), an offset t < r sheds radius,
+    leaving core + (r - t)B (disks and stadiums keep their kind); a larger
+    one offsets the polygon core by t - r edge by edge and re-hulls.  A
+    general h - t is *not* used: it is a support function only when the
+    curvature radius of the boundary stays >= t everywhere.
     """
     if t < 0:
         raise GeometryError("offset distance must be >= 0")
     if t == 0:
         return spec
-    if isinstance(spec, Disk):
-        if t >= spec.radius:
-            raise EmptyInteriorError(f"offset {t:g} >= disk radius {spec.radius:g}")
-        return Disk(spec.center, spec.radius - t)
-    if isinstance(spec, Stadium):
-        if t >= spec.radius:
-            raise EmptyInteriorError(f"offset {t:g} >= stadium inradius {spec.radius:g}")
-        return Stadium(spec.half_length, spec.radius - t, spec.axis)
-    if isinstance(spec, Polygon):
-        return _polygon_inner_parallel(spec, t)
-    if isinstance(spec, Scaled):
-        return Scaled(inner_parallel(spec.base, t / spec.factor), spec.factor)
-    if isinstance(spec, Translated):
-        return Translated(inner_parallel(spec.base, t), spec.offset)
-    if isinstance(spec, MinkowskiSum):
-        for k, other in ((spec.left, spec.right), (spec.right, spec.left)):
-            if isinstance(k, Disk):
-                if t < k.radius:
-                    return MinkowskiSum(Disk(k.center, k.radius - t), other)
-                return inner_parallel(Translated(other, k.center), t - k.radius)
-        poly = _polygonal(spec)
-        if poly is not None:
-            return _polygon_inner_parallel(poly, t)
-        raise GeometryError("inner parallel unsupported for this Minkowski sum")
-    raise GeometryError(f"unknown container spec: {spec!r}")
+    vertices, radius, _ = _rounded_core(spec)
+    if t < radius:
+        if isinstance(spec, (Disk, Stadium)):
+            return replace(spec, radius=radius - t)
+        return _rounded_body(vertices, radius - t)
+    hull = _hull_ccw(vertices)
+    if len(hull) < 3:
+        raise EmptyInteriorError(f"offset {t:g} >= inradius {radius:g}")
+    return _polygon_inner_parallel(hull, t - radius)
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,20 @@ shape for the reverse isoperimetric triangle conjecture.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    Disk,
     GeometryError,
-    MinkowskiSum,
-    Polygon,
-    Scaled,
-    Stadium,
     SupportSamples,
-    Translated,
     TWO_PI,
+    _core_area_perimeter,
+    _rounded_core,
     container_area,
+    curvature_floor,  # re-exported: the bound within which the oracle applies
     grid_constants,
     inner_parallel,
     powered_energy,
@@ -39,63 +37,35 @@ class OracleNotApplicable(RuntimeError):
     """The analytic characterization does not cover the requested case."""
 
 
-def curvature_floor(spec):
-    """Largest d0 with boundary curvature radius >= d0 everywhere.
-
-    Disks contribute their radius, polygons zero; Minkowski summands add.
-    """
-    if isinstance(spec, Disk):
-        return spec.radius
-    if isinstance(spec, Stadium):
-        return spec.radius
-    if isinstance(spec, Polygon):
-        return 0.0
-    if isinstance(spec, Scaled):
-        return spec.factor * curvature_floor(spec.base)
-    if isinstance(spec, Translated):
-        return curvature_floor(spec.base)
-    if isinstance(spec, MinkowskiSum):
-        return curvature_floor(spec.left) + curvature_floor(spec.right)
-    raise GeometryError(f"unknown container spec: {spec!r}")
-
-
 def inner_parallel_optimum(container, alpha):
     """(offset d, inner parallel body) solving the Hausdorff problem exactly.
 
-    Valid whenever the required offset stays within the curvature floor of
-    the container; the offset is found by bisection on the monotone area.
+    Valid whenever the required offset stays within the curvature floor r
+    of the container.  With container = core + rB (`geometry._rounded_core`)
+    the body at d = r - rho has area |core| + P(core) rho + pi rho^2, so rho
+    is that quadratic's positive root at alpha |K|, written without
+    cancellation.  An offset beyond the floor, or one that reaches it on a
+    core without area (alpha = 0, or alpha below about 1e-32, in a disk or
+    stadium: no interior is left), raises OracleNotApplicable.
     """
     if not 0.0 <= alpha <= 1.0:
         raise GeometryError("area fraction alpha must lie in [0, 1]")
     if alpha == 1.0:
         return 0.0, container
-    total = container_area(container)
-    target = alpha * total
-    d0 = curvature_floor(container)
-    if d0 <= 0.0:
-        raise OracleNotApplicable("container curvature floor is zero (flat boundary parts)")
-
-    def area_at(d):
-        return container_area(inner_parallel(container, d))
-
-    hi = d0
-    try:
-        area_hi = area_at(hi)
-    except GeometryError:
-        hi = d0 * (1.0 - 1e-12)
-        area_hi = area_at(hi)
-    if target < area_hi - 1e-12 * total:
+    vertices, floor, _ = _rounded_core(container)
+    core_area, core_perimeter = _core_area_perimeter(vertices)
+    excess = alpha * container_area(container) - core_area
+    if excess < 0.0:
         raise OracleNotApplicable(
-            f"target area {target:g} needs an offset beyond the curvature floor {d0:g}"
+            f"area fraction {alpha:g} needs an offset beyond the curvature floor {floor:g}"
         )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if area_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    d = 0.5 * (lo + hi)
+    root = math.sqrt(core_perimeter**2 + 4.0 * math.pi * excess)
+    rho = 2.0 * excess / (core_perimeter + root) if excess > 0.0 else 0.0
+    d = max(floor - rho, 0.0)  # rho may round above the floor as alpha nears 1
+    if d == floor and core_area == 0.0:
+        raise OracleNotApplicable(
+            f"area fraction {alpha:g} leaves no interior: the offset reaches the curvature floor {floor:g}"
+        )
     return d, inner_parallel(container, d)
 
 

@@ -164,20 +164,12 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
     """KKT residual report at (x, multipliers).
 
     stationarity = ||grad f + A^T lambda + mu grad g|| / max(1, ||grad f||);
-    primal = max constraint violation; complementarity = max |lambda_i slack_i|.
+    primal = max constraint violation.
     """
     f, grad = problem.objective(x)
     r = grad.copy()
-    comp = 0.0
-    if problem.n_ineq:
-        lam = (
-            np.zeros(problem.n_ineq)
-            if ineq_multipliers is None
-            else np.asarray(ineq_multipliers, dtype=float)
-        )
-        r += problem.ineq_matrix.T @ lam
-        slack = problem.ineq_rhs - problem.ineq_matrix @ x
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
+    if problem.n_ineq and ineq_multipliers is not None:
+        r += problem.ineq_matrix.T @ np.asarray(ineq_multipliers, dtype=float)
     if problem.equality is not None:
         r += eq_multiplier * problem.equality(x)[1]
     primal, _ = violation(problem, x)
@@ -185,7 +177,6 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
     return {
         "stationarity": stationarity,
         "primal": primal,
-        "complementarity": comp,
         "objective": float(f),
     }
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from convexfit.geometry import (
     _cross2,
+    _hull_ccw,
     Disk,
     EmptyInteriorError,
     GeometryError,
@@ -21,10 +22,12 @@ from convexfit.geometry import (
     container_area,
     container_perimeter,
     convexity_residuals,
+    curvature_floor,
     convexity_tolerance,
     ensure_convex,
     hausdorff_from_supports,
     inner_parallel,
+    interior_point,
     named_container,
     perimeter_from_support,
     polygon_area,
@@ -86,6 +89,15 @@ class TestSupportEval:
             Disk((0, 0), -1.0)
         with pytest.raises(GeometryError):
             Polygon([(0, 0), (1, 1), (2, 2)])  # collinear
+
+
+def test_degenerate_hulls_are_cores_but_not_polygons():
+    np.testing.assert_array_equal(_hull_ccw([(1, 2), (1, 2), (1, 2)]), [[1, 2]])
+    np.testing.assert_array_equal(_hull_ccw([(2, 2), (0, 0), (1, 1)]), [[0, 0], [2, 2]])
+    with pytest.raises(GeometryError, match="collinear"):
+        Polygon([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(GeometryError, match="at least 3 distinct"):
+        Polygon([(0, 0), (1, 1), (0, 0)])
 
 
 @pytest.mark.parametrize(
@@ -357,6 +369,16 @@ def test_scaling_and_translation(s, vx, vy, theta):
     )
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
+def test_far_translation_keeps_the_area(offset):
+    # the translated core's shoelace must not cancel the area away
+    base = MinkowskiSum(named_container("pentagon"), Scaled(DISK, 0.5))
+    far = Translated(base, (offset, -offset))
+    assert container_area(far) == pytest.approx(container_area(base), rel=1e-7)
+    inner = container_area(inner_parallel(base, 0.6))  # past the disk: the polygon core is offset
+    assert container_area(inner_parallel(far, 0.6)) == pytest.approx(inner, rel=1e-6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-1.2, 1.2),
@@ -397,3 +419,87 @@ def test_container_perimeter_closed_forms():
     assert container_perimeter(SQUARE) == pytest.approx(8.0)
     assert container_perimeter(STADIUM) == pytest.approx(4 + 2 * np.pi)
     assert container_perimeter(MinkowskiSum(SQUARE, DISK)) == pytest.approx(8 + 2 * np.pi)
+
+
+# every container kind, nested at most 3 deep: the normal form core + rB
+# (`geometry._rounded_core`) must reproduce the sampled support function
+_coord = st.floats(-2, 2)
+_radius = st.floats(0.05, 1.5)
+_polygons = (
+    st.lists(st.tuples(_coord, _coord), min_size=3, max_size=6)
+    .map(_try_polygon)
+    .filter(lambda poly: poly is not None and polygon_area(poly.vertices) >= 0.05)
+)
+_leaves = st.one_of(
+    _polygons,
+    st.builds(Disk, st.tuples(_coord, _coord), _radius),
+    st.builds(Stadium, st.floats(0, 2), _radius, st.floats(-np.pi, np.pi)),
+)
+
+
+def _containers(depth):
+    if depth == 1:
+        return _leaves
+    sub = _containers(depth - 1)
+    return st.one_of(
+        _leaves,
+        st.builds(MinkowskiSum, sub, sub),
+        st.builds(Scaled, sub, st.floats(0.25, 2.0)),
+        st.builds(Translated, sub, st.tuples(_coord, _coord)),
+    )
+
+
+def _boundary_area(spec, n=4096, eps=1e-7):
+    """Shoelace area of boundary points h u + h' u_perp (h' a symmetric
+    difference of step eps) at n uniform normals, and more where a polygon
+    vertex may hide between two of them.
+
+    `reconstruct_boundary` differentiates across the grid step instead, which
+    moves the points beside each polygon edge normal off the boundary: its
+    area errs to first order in 1/n (5.9e-4 relative on the stock triangle at
+    n = 4096).  Uniform normals also miss a vertex whose normal cone is
+    narrower than their step, as in sums of polygons with nearly parallel
+    edges; so an interval of normals is bisected while its two points differ
+    and its midpoint's point repeats one of them or leaves their chord.
+    """
+
+    def points(theta):
+        u = unit_vector(theta)
+        dh = (support_eval(spec, theta + eps) - support_eval(spec, theta - eps)) / (2.0 * eps)
+        return support_eval(spec, theta)[:, None] * u + dh[:, None] * np.column_stack([-u[:, 1], u[:, 0]])
+
+    theta = TWO_PI * np.arange(n + 1) / n  # the last normal closes the chain
+    x = points(theta)
+    scale = float(np.max(np.abs(x)))
+
+    def near(p, q):
+        return np.hypot(*(p - q).T) <= 1e-8 * scale
+
+    for _ in range(60):
+        mid = 0.5 * (theta[:-1] + theta[1:])
+        xm = points(mid)
+        a, b = x[:-1], x[1:]
+        bulge = np.abs(_cross2(xm - a, b - a))
+        split = ~near(a, b) & (near(xm, a) | near(xm, b) | (bulge > 1e-8 * scale**2))
+        if not split.any():
+            break
+        order = np.argsort(np.concatenate([theta, mid[split]]), kind="stable")
+        theta = np.concatenate([theta, mid[split]])[order]
+        x = np.concatenate([x, xm[split]])[order]
+    return polygon_area(x[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_containers(3), st.floats(0.0, 0.999))
+def test_normal_form_matches_the_support_function(spec, frac):
+    theta = TWO_PI * np.arange(720) / 720
+    h = support_eval(spec, theta)
+
+    t = frac * curvature_floor(spec)  # within the floor, the offset body is h - t
+    np.testing.assert_allclose(support_eval(inner_parallel(spec, t), theta), h - t, rtol=1e-12, atol=1e-12)
+
+    assert container_area(spec) == pytest.approx(_boundary_area(spec), rel=1e-5)
+    perimeter = perimeter_from_support(support_samples(spec, 4096))
+    assert container_perimeter(spec) == pytest.approx(perimeter, rel=1e-5)
+
+    assert np.min(h - unit_vector(theta) @ interior_point(spec)) > 0.0

@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from convexfit import geometry
 from convexfit.geometry import (
     Disk,
     MinkowskiSum,
     Polygon,
+    Scaled,
     Stadium,
     SupportSamples,
     container_area,
@@ -34,6 +36,7 @@ from convexfit.oracles import (
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
 STADIUM = Stadium(1.0, 1.0, 0.0)
+COMPOSITES = (MinkowskiSum(STADIUM, SQUARE), MinkowskiSum(Scaled(DISK, 0.5), SQUARE))
 
 
 class TestInnerParallelOptimum:
@@ -67,21 +70,45 @@ class TestInnerParallelOptimum:
             inner_parallel_optimum(spec, low - 0.05)
 
     @pytest.mark.parametrize("alpha", [0.15, 0.4, 0.8])
-    def test_bisection_area_accuracy(self, alpha):
-        for spec in (DISK, STADIUM, MinkowskiSum(SQUARE, Disk((0, 0), 1.0))):
+    def test_closed_form_area_accuracy(self, alpha):
+        for spec in (DISK, STADIUM, MinkowskiSum(SQUARE, Disk((0, 0), 1.0)), *COMPOSITES):
             total = container_area(spec)
-            if alpha * total < container_area(spec) - 0 and True:
-                try:
-                    d, shape = inner_parallel_optimum(spec, alpha)
-                except OracleNotApplicable:
-                    continue
-                assert abs(container_area(shape) - alpha * total) <= 1e-10 * total
+            try:
+                d, shape = inner_parallel_optimum(spec, alpha)
+            except OracleNotApplicable:
+                continue
+            assert abs(container_area(shape) - alpha * total) <= 1e-12 * total
+
+    def test_composite_containers_are_exact(self):
+        # stadium + square = [-2, 2] x [-1, 1] + B; half a disk + square = [-1, 1]^2 + B/2
+        for spec, area, d in zip(COMPOSITES, (20.0 + np.pi, 8.0 + np.pi / 4), (0.722582, 0.451824)):
+            assert container_area(spec) == pytest.approx(area, rel=1e-14, abs=0.0)
+            offset, shape = inner_parallel_optimum(spec, 0.5)
+            assert offset == pytest.approx(d, abs=1e-6)
+            assert container_area(shape) == pytest.approx(0.5 * area, rel=1e-12, abs=0.0)
+
+    def test_tiny_alpha_keeps_the_body_area(self):
+        # the remaining radius rho is solved for without cancellation
+        _, shape = inner_parallel_optimum(DISK, 1e-9)
+        assert container_area(shape) == pytest.approx(1e-9 * np.pi, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-40])
+    @pytest.mark.parametrize("spec", [DISK, STADIUM, *COMPOSITES])
+    def test_alpha_zero_is_not_applicable(self, spec, alpha):
+        # the optimum is the core (a point, a segment, or a polygon too large),
+        # or at 1e-40 a radius that rounds away against the floor
+        with pytest.raises(OracleNotApplicable):
+            inner_parallel_optimum(spec, alpha)
 
     def test_curvature_floor_values(self):
         assert curvature_floor(DISK) == 1.0
         assert curvature_floor(STADIUM) == 1.0
         assert curvature_floor(SQUARE) == 0.0
         assert curvature_floor(MinkowskiSum(SQUARE, Disk((0, 0), 0.3))) == pytest.approx(0.3)
+
+    def test_curvature_floor_is_the_geometry_one(self):
+        assert curvature_floor is geometry.curvature_floor
+        assert curvature_floor(Scaled(MinkowskiSum(STADIUM, Disk((2, 0), 0.5)), 2.0)) == 3.0
 
 
 class TestPerimeterIdentity:
