@@ -259,7 +259,7 @@ def equivalence_probe(cfg):
     f_val = stage1.energy
 
     n = prob.n
-    area_scale = max(prob.container_area_discrete, 1e-300)
+    area_scale = prob.container_area_discrete
     area_hess = np.full(n, 8.0 * grid_constants(n)[1] / area_scale)
 
     def area_objective(x):
@@ -296,7 +296,7 @@ def equivalence_probe(cfg):
         "target_area": prob.target_area,
         "recovered_area": area,
         "area_gap": abs(area - prob.target_area),
-        "relative_gap": abs(area - prob.target_area) / max(prob.container_area_discrete, 1e-300),
+        "relative_gap": abs(area - prob.target_area) / prob.container_area_discrete,
         "blended_energy": blended,
         "stage1_beaten": blended < f_val - feas_tol * max(1.0, f_val),
         "stage1": stage1,

@@ -17,10 +17,11 @@ from .geometry import (
     GeometryError,
     SupportSamples,
     TWO_PI,
+    _rounded_core,
     container_bounds,
     container_scale,
     reconstruct_boundary,
-    support_samples,
+    unit_vector,
 )
 
 SHAPE_HEADER = "theta,h"
@@ -149,9 +150,10 @@ def load_overlay_csv(path, n):
 def export_svg(container, shapes, path):
     """Container outline with shape overlays, deterministic bytes.
 
-    The view box is the container bounding box plus a 5% margin; shapes are
-    nodal samples, reconstructed with a tolerance loose enough for solver
-    output.
+    The view box is the container bounding box plus a 5% margin; the
+    container outline is its boundary points at 512 normal directions.
+    Shapes are nodal samples, reconstructed with a tolerance loose enough
+    for solver output.
     """
     xmin, xmax, ymin, ymax = container_bounds(container)
     margin = 0.05 * max(xmax - xmin, ymax - ymin)
@@ -171,8 +173,12 @@ def export_svg(container, shapes, path):
         coords = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in zip(x, y))
         return f'<polygon points="{coords}" style="{style}" />'
 
+    # the container as core + rB (`geometry._rounded_core`): the core vertex
+    # farthest along u, moved by r u, is the boundary point with normal u
+    vertices, radius, _ = _rounded_core(container)
+    u = unit_vector(TWO_PI * np.arange(512) / 512)
+    outline = vertices[np.argmax(u @ vertices.T, axis=1)] + radius * u
     tol = 1e-6 * container_scale(container)
-    outline = reconstruct_boundary(support_samples(container, 512), tol=tol)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '
         f'height="{fmt(height * scale)}" viewBox="0 0 {fmt(width * scale)} {fmt(height * scale)}">',

@@ -49,7 +49,8 @@ class NodalProblem:
     """Container, grid size, exponent (math.inf allowed) and area fraction.
 
     The area target is alpha times the *discrete* container area, so that
-    alpha = 1 is exactly feasible on every grid.
+    alpha = 1 is exactly feasible on every grid.  A container whose discrete
+    area rounds to 0 or below (a sliver) is refused.
     """
 
     container: object
@@ -66,8 +67,10 @@ class NodalProblem:
         if not 0.0 <= self.alpha <= 1.0:
             raise GeometryError("area fraction alpha must lie in [0, 1]")
         self.container_values = support_samples(self.container, self.n).values
-        self.container_area_discrete = nodal_area(self.container_values)[0]
-        self.target_area = self.alpha * self.container_area_discrete
+        area = self.container_area_discrete = nodal_area(self.container_values)[0]
+        if not area > 0.0:
+            raise GeometryError(f"container has no area on the {self.n}-point grid ({area:.3g})")
+        self.target_area = self.alpha * area
 
     @property
     def angles(self):
@@ -114,11 +117,10 @@ class ConstraintReport:
 def nodal_constraints(h, prob):
     v = _values(h)
     area, _ = nodal_area(v)
-    scale = max(prob.container_area_discrete, 1e-300)
     return ConstraintReport(
         inclusion=prob.container_values - v,
         convexity=convexity_residuals(v),
-        area_residual=(area - prob.target_area) / scale,
+        area_residual=(area - prob.target_area) / prob.container_area_discrete,
     )
 
 
@@ -203,7 +205,7 @@ def _gather_starts(prob, init, seeds, base_seed):
 
 def _area_equality(prob):
     """Area equality on the nodal values x[:N], scaled by the container area."""
-    scale = max(prob.container_area_discrete, 1e-300)
+    scale = prob.container_area_discrete
     n = prob.n
 
     def equality(x):
@@ -257,7 +259,7 @@ def _h0_builder(nlp, n, obj_hess_diag):
     gap rows) plus C^T D C for the convexity stencil, i.e. pentadiagonal
     with circular wrap; a slack column (dimension N + 1) borders it, and
     the equality gradient the solver hands over adds a rank-one term.  Rows
-    beyond the first 2N are gap rows.  The flat positions of the band, gap
+    beyond the first 2N are gap rows.  The raveled positions of the band, gap
     and slack entries are fixed per problem.  At every step one np.bincount
     sums the weights that share a position (gap rows meet the diagonal, and
     the wrapped bands overlap at N = 3 and 4) in the order they are listed,
@@ -280,8 +282,8 @@ def _h0_builder(nlp, n, obj_hess_diag):
         if has_slack:
             rows += [idx, np.full(n, n), [n]]
             cols += [np.full(n, n), idx, [n]]
-    flat = np.concatenate(rows) * dim + np.concatenate(cols)
-    positions, bins = np.unique(flat, return_inverse=True)
+    raveled = np.concatenate(rows) * dim + np.concatenate(cols)
+    positions, bins = np.unique(raveled, return_inverse=True)
     diagonal = slice(None, None, dim + 1)  # of H.ravel()
 
     def builder(x, act, rho, eq_grad):
@@ -320,7 +322,9 @@ def _program(prob, zu):
     largest gap (`geometry.gap_model`); starts are used as they are and the
     energy is `energy_of`.  p = inf minimizes t over (h, t) with every gap
     h_C - h_j <= t: `lift` gives a start its largest gap as slack, and the
-    optimal t, the Hausdorff-distance estimate, is the energy.
+    optimal t, the Hausdorff-distance estimate, is the energy.  It is
+    clamped at 0: t may sit up to the feasibility bound below the largest
+    gap, which is 0 at alpha = 1.
     """
     if not math.isinf(prob.p):
         objective, curvature = gap_model(
@@ -343,7 +347,7 @@ def _program(prob, zu):
         prob, slack_objective, lambda x: np.zeros(n), _area_equality(prob),
         gap_rhs=-prob.container_values, slack=True,
     )
-    return nlp, lift, lambda x: float(x[-1])
+    return nlp, lift, lambda x: max(float(x[-1]), 0.0)
 
 
 def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
@@ -352,8 +356,8 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     `init` (a SupportSamples warm start) is clipped into the container and
     convexified, then competes with the deterministic scaled-copy anchor and
     `seeds` random feasible starts.  `_program` chooses the program for p;
-    at p = inf the reported `energy` is the optimal epigraph slack t, the
-    Hausdorff-distance estimate.
+    at p = inf the reported `energy` is the optimal epigraph slack t clamped
+    at 0, the Hausdorff-distance estimate.
     """
     t0 = time.perf_counter()
     starts, zu = _gather_starts(prob, init, seeds, base_seed)

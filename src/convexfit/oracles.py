@@ -131,7 +131,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     ).reshape(-1, n - 1)
 
     def scan_chunk(i0, slack):
-        """(energy, flat_index, values, score) of the best feasible point, or None."""
+        """(energy, grid_index, values, score) of the best feasible point, or None."""
         H = np.empty((tail.shape[0], n))
         H[:, 0] = i0 * steps[0]
         H[:, 1:] = tail * steps[1:]
@@ -154,14 +154,14 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         elif sys.float_info.min <= score[k] < np.inf:
             energy = float(score[k]) ** (1.0 / p)
         else:  # the plain scores under- or overflow: rank the feasible rows by J_p
-            rows = np.flatnonzero(feas)
+            rows = np.nonzero(feas)[0]
             energies = [powered_energy(H[i], h_c, p)[1] for i in rows]
             k = int(rows[np.argmin(energies)])
             energy = min(energies)
         return energy, i0 * tail.shape[0] + k, H[k].copy(), float(score[k])
 
     def full_scan(slack):
-        """The chunks' best: lowest energy, ties to the lowest flat index."""
+        """The chunks' best: lowest energy, ties to the lowest grid index."""
         found = [out for out in per_cpu_map(lambda i: scan_chunk(i, slack), G) if out is not None]
         return min(found, key=lambda out: out[:2], default=None)
 

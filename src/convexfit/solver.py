@@ -143,7 +143,7 @@ class NlpResult:
     max_violation: float
     history: list = field(default_factory=list)
     status: str = "converged"
-    reason: str = "converged"  # outer exit: converged, max_outer, stalled or flat
+    reason: str = "converged"  # outer exit: converged (certified) or max_outer (budget spent)
 
 
 def violation(problem, x):
@@ -341,7 +341,8 @@ def solve_nlp(problem, x0, params=None):
     Each outer iteration minimizes the augmented Lagrangian to a tolerance
     that tightens with the outer counter, then updates multipliers; the
     penalty grows tenfold (up to RHO_MAX) whenever the violation is above
-    the feasibility bound and failed to shrink by VIOLATION_SHRINK.
+    the feasibility bound and failed to shrink by VIOLATION_SHRINK.  The
+    loop ends when `certified` holds or after `max_outer` outer iterations.
     """
     params = params or SolverParams()
     if problem.h0_builder is None:
@@ -368,11 +369,8 @@ def solve_nlp(problem, x0, params=None):
 
     history = []
     prev_viol = np.inf
-    prev_obj = np.inf
     status = "max_iter"
     reason = "max_outer"
-    stalled = 0
-    flat = 0
     for outer in range(params.max_outer):
         # tighten with the outer counter, but never lag behind the violation:
         # a multiplier update perturbs the AL gradient by about rho * viol,
@@ -405,17 +403,6 @@ def solve_nlp(problem, x0, params=None):
         if certified(report, params, feas):
             status = reason = "converged"
             break
-        stalled = stalled + 1 if inner_iters == 0 else 0
-        if stalled >= 8:
-            reason = "stalled"
-            break  # repeated multiplier updates no longer move anything
-        feasible_now = viol <= feas
-        obj_flat = abs(report["objective"] - prev_obj) <= 1e-8 * max(1.0, abs(report["objective"]))
-        flat = flat + 1 if (feasible_now and obj_flat) else 0
-        prev_obj = report["objective"]
-        if flat >= 2:
-            reason = "flat"
-            break  # feasible and the objective has stopped moving
         if (
             inner_iters > 0  # an idle outer teaches nothing about the penalty
             and viol > feas

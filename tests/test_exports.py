@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from convexfit.exports import (
+    SVG_SIZE,
     atomic_write_text,
     export_csv,
     export_fourier_csv,
@@ -17,7 +18,16 @@ from convexfit.exports import (
     load_shape_csv,
 )
 from convexfit.fourier import FourierShape
-from convexfit.geometry import Disk, GeometryError, SupportSamples, named_container, support_samples
+from convexfit.geometry import (
+    Disk,
+    GeometryError,
+    SupportSamples,
+    container_area,
+    container_bounds,
+    named_container,
+    polygon_area,
+    support_samples,
+)
 from convexfit.solver import OuterRecord
 
 DISK = Disk((0.0, 0.0), 1.0)
@@ -134,6 +144,22 @@ def test_svg_container_only(tmp_path):
     path = tmp_path / "container.svg"
     export_svg(named_container("square"), [], path)
     assert path.read_text().count("<polygon") == 1
+
+
+@pytest.mark.parametrize("name", ["triangle", "pentagon"])
+def test_svg_container_outline_lies_on_the_boundary(tmp_path, name):
+    # the outline's points are the container's boundary points, so the
+    # polygon they draw is the container itself (edge normals that fall
+    # between the 512 directions included)
+    container = named_container(name)
+    path = tmp_path / "outline.svg"
+    export_svg(container, [], path)
+    points = re.search(r'<polygon points="([^"]*)"', path.read_text()).group(1)
+    px = np.array([pair.split(",") for pair in points.split()], dtype=float)
+    xmin, xmax, ymin, ymax = container_bounds(container)
+    scale = SVG_SIZE / (1.1 * max(xmax - xmin, ymax - ymin))  # the view box has a 5 % margin
+    area = abs(polygon_area(px)) / scale**2
+    assert area == pytest.approx(container_area(container), rel=1e-12)
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):

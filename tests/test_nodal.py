@@ -29,6 +29,7 @@ from convexfit.geometry import (
     unit_vector,
     interior_point,
 )
+from convexfit.multistart import InfeasibleError
 from convexfit.nodal import (
     NodalProblem,
     convexify,
@@ -37,11 +38,13 @@ from convexfit.nodal import (
     nodal_constraints,
     nodal_objective,
     solve_nodal,
+    _anchor_start,
     _area_equality,
     _nodal_nlp,
     _program,
     _random_start,
 )
+from convexfit.solver import SolverParams, feasibility_bound, violation
 from test_fourier import _pinned_digests, _print_digests
 from test_geometry import chain_convexity_defect, reconstruction_tolerance
 
@@ -59,13 +62,18 @@ SQUARE = named_container("square")
         (lambda: FourierProblem(DISK, n_f=2.5, m=32, q=64), "^n_f must be an integer"),
         (lambda: FourierProblem(DISK, n_f=4, m=10.5, q=64), "^m must be an integer"),
         (lambda: FourierProblem(DISK, n_f=4, m=32, q=64.5), "^q must be an integer"),
+        (
+            lambda: NodalProblem(Polygon([(0.0, 0.0), (0.0, 1.0), (1e-30, 0.0)]), n=24),
+            r"^container has no area on the 24-point grid \(",
+        ),
     ],
-    ids=["fourier_p_nan", "nodal_p_minus_inf", "n_float", "n_bool", "n_f_float", "m_float", "q_float"],
+    ids=["fourier_p_nan", "nodal_p_minus_inf", "n_float", "n_bool", "n_f_float", "m_float", "q_float", "sliver"],
 )
 def test_problems_reject_bad_settings_at_construction(build, message):
     # a NaN exponent or a non-integer grid size used to build, and to fail
     # later in the solve (or in numpy) with a message naming no setting; a
-    # nodal p = -inf used to build and solve as p = inf
+    # nodal p = -inf used to build and solve as p = inf; a sliver whose
+    # discrete area rounds below 0 used to build and overflow the solver
     with pytest.raises(GeometryError, match=message):
         build()
 
@@ -243,6 +251,25 @@ class TestSolve:
         assert "start 1: gradient 2-norm overflows at x0" in res.message
         assert "start 2: gradient 2-norm overflows at x0" in res.message
 
+    @pytest.mark.parametrize(
+        "vertices, n, p, alpha, seeds",
+        [
+            (
+                [[3.695056, 1.349305], [3.73601, 1.341093], [5.289971, 1.380015], [6.884781, 1.441374],
+                 [5.278201, 1.454257]],
+                32, 1.0, 0.758, 0,
+            ),
+            ([[-6.73748, -13.151724], [-6.407092, -13.284492], [-6.495286, -13.038987]], 24, 2.0, 0.284, 2),
+        ],
+        ids=["pentagon_p1", "triangle_p2"],
+    )
+    def test_an_objective_that_stops_moving_is_no_exit(self, vertices, n, p, alpha, seeds):
+        # thin off-origin cells whose objective moves by less than 1e-8
+        # over feasible outer iterations before the KKT check certifies:
+        # the outer loop runs on until it does
+        res = solve_nodal(NodalProblem(Polygon(vertices), n=n, p=p, alpha=alpha), seeds=seeds, base_seed=0)
+        assert res.status == "converged", res.message
+
 
 def band_by_band_seed(nlp, n, hess, eg, act, rho):
     """The nodal seed filled band by band into a zero matrix: the reference
@@ -379,6 +406,12 @@ class TestMinimax:
         res = solve_nodal(prob, seeds=1)
         assert res.energy <= 1e-10
 
+    def test_alpha_one_energy_is_not_negative(self):
+        # the slack t may sit up to the feasibility bound below the largest
+        # gap, which is 0 here; the energy is t clamped at 0
+        res = solve_nodal(NodalProblem(named_container("triangle"), n=24, p=math.inf, alpha=1.0), seeds=0)
+        assert (res.status, res.energy, res.sigma_normalized) == ("converged", 0.0, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # properties
@@ -408,9 +441,21 @@ def test_discrete_convexity_implies_geometric(seed):
     assert chain_convexity_defect(chain) >= -reconstruction_tolerance(chain)
 
 
+# the points whose hull is a random convex polygon
+HULL_POINTS = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=8)
+
+
+def hull_polygon(points):
+    """The hull of `points` as a Polygon; a degenerate hull rejects the draw."""
+    try:
+        return Polygon(np.array(points))
+    except GeometryError:
+        assume(False)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=8),
+    HULL_POINTS,
     st.floats(0.05, 0.95),
     st.sampled_from([16, 64]),
     st.one_of(st.floats(0.0, 4.0).map(lambda e: 10.0**e), st.just(math.inf)),
@@ -419,10 +464,7 @@ def test_energy_is_a_positive_mean_of_the_gaps_at_any_p(points, s, n, p):
     # a random convex polygon and its copy shrunk about the centroid by s:
     # every gap is positive, and J_p lies between (2 pi)^(1/p) min g and
     # (2 pi)^(1/p) max g however far g^p under- or overflows
-    try:
-        container = Polygon(np.array(points))
-    except GeometryError:
-        assume(False)
+    container = hull_polygon(points)
     prob = NodalProblem(container, n=n, p=p)
     shift = unit_vector(prob.angles) @ polygon_centroid(container.vertices)
     values = s * (prob.container_values - shift) + shift
@@ -435,6 +477,42 @@ def test_energy_is_a_positive_mean_of_the_gaps_at_any_p(points, s, n, p):
     for energy in (energy_of(values, prob), powered_energy(values, prob.container_values, p)[1]):
         assert math.isfinite(energy) and energy > 0.0
         assert low * (1.0 - 1e-12) <= energy <= high * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    HULL_POINTS,
+    st.sampled_from([1.0, 0.2, 0.05]),
+    st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)),
+    st.one_of(st.floats(0.02, 0.99), st.just(1.0)),
+    st.sampled_from([1.0, 2.0, 8.0, math.inf]),
+    st.sampled_from([16, 24, 32]),
+    st.sampled_from([0, 2]),
+)
+def test_a_solve_is_feasible_and_no_worse_than_the_anchor(points, stretch, shift, alpha, p, n, seeds):
+    # random hulls, flattened in y and moved off the origin: a solve raises
+    # InfeasibleError with its diagnostic, or returns a shape within the
+    # solver's feasibility bound whose energy lies between 0 and the anchor
+    # start's (up to that bound, as a minimax slack may), above 0 for alpha < 1
+    container = hull_polygon(np.array(points) * (1.0, stretch) + shift)
+    try:
+        prob = NodalProblem(container, n=n, p=p, alpha=alpha)
+    except GeometryError as exc:  # a sliver: its discrete area rounds to 0 or below
+        assert str(exc).startswith(f"container has no area on the {n}-point grid")
+        return
+    try:
+        res = solve_nodal(prob, seeds=seeds)
+    except InfeasibleError as exc:
+        assert str(exc).startswith("no feasible point found by any start (best violation")
+        return
+    zu = unit_vector(prob.angles) @ interior_point(container)
+    nlp = _program(prob, zu)[0]
+    x = res.samples.values if nlp.dim == n else np.append(res.samples.values, res.energy)
+    assert violation(nlp, x)[0] <= feasibility_bound(nlp, SolverParams())
+    anchor = energy_of(_anchor_start(prob, zu), prob)
+    assert 0.0 <= res.energy <= anchor + SolverParams().feas_tol * max(1.0, anchor)
+    if alpha < 1.0:
+        assert res.energy > 0.0
 
 
 def test_off_center_container_with_negative_support():
