@@ -46,7 +46,6 @@ from .nodal import (
     convexify,
     nodal_area,
     nodal_constraints,
-    nodal_objective,
     solve_nodal,
 )
 from .oracles import (
@@ -95,7 +94,6 @@ __all__ = [
     "named_container",
     "nodal_area",
     "nodal_constraints",
-    "nodal_objective",
     "perimeter_from_support",
     "perimeter_identity_check",
     "polygon_area",

@@ -258,17 +258,18 @@ def grid_constants(n):
 
 
 def convexity_residuals(h):
-    """Discrete curvature residuals c_j = h_{j+1} + h_{j-1} - 2 h_j cos(2*pi/N).
+    """Discrete curvature residuals c_j = h_{j+1} + h_{j-1} - 2 h_j cos(2*pi/N),
+    along the last axis (one shape per row).
 
     The sampled function is the support function of a convex body exactly when
     every c_j is nonnegative.
     """
     v = h.values if isinstance(h, SupportSamples) else np.asarray(h, float)
     c = np.empty_like(v)
-    np.add(v[2:], v[:-2], out=c[1:-1])
-    c[0] = v[1] + v[-1]
-    c[-1] = v[0] + v[-2]
-    c -= grid_constants(v.size)[0] * v
+    np.add(v[..., 2:], v[..., :-2], out=c[..., 1:-1])
+    c[..., 0] = v[..., 1] + v[..., -1]
+    c[..., -1] = v[..., 0] + v[..., -2]
+    c -= grid_constants(v.shape[-1])[0] * v
     return c
 
 
@@ -315,20 +316,23 @@ def powered_gap(values, container_values, p, ref=1.0):
 
 
 def powered_energy(values, container_values, p):
-    """(powered, J_p, sigma) of finite p on K uniform samples.
+    """(powered, J_p, sigma) on K uniform samples, for every p in [1, inf].
 
     powered is `powered_gap`'s value, J_p = powered^(1/p) and sigma =
     (powered / 2 pi)^(1/p).  Where powered is 0, subnormal or inf, though
     the gap is positive and finite, those roots read 0 or inf; there J_p is
     recomputed as M ((2 pi/K) sum (g/M)^p)^(1/p) with M = max g (0 when
-    M = 0), and sigma = J_p / (2 pi)^(1/p).
+    M = 0), and sigma = J_p / (2 pi)^(1/p).  At p = inf it is (inf, M, M):
+    J_inf is the largest clamped gap, the Hausdorff distance of a subset.
     """
+    gap = np.maximum(container_values - values, 0.0)
+    top = float(np.max(gap, initial=0.0))
+    if math.isinf(p):
+        return math.inf, top, top
     with np.errstate(over="ignore", under="ignore"):
         powered = powered_gap(values, container_values, p)[0]
         if sys.float_info.min <= powered < math.inf:
             return powered, powered ** (1.0 / p), float((powered / TWO_PI) ** (1.0 / p))
-        gap = np.maximum(container_values - values, 0.0)
-        top = float(np.max(gap, initial=0.0))
         energy = top * float(TWO_PI / gap.size * np.sum((gap / top) ** p)) ** (1.0 / p) if top else 0.0
     return powered, energy, energy / TWO_PI ** (1.0 / p)
 

@@ -33,7 +33,6 @@ from .geometry import (
     grid_constants,
     interior_point,
     powered_energy,
-    powered_gap,
     support_samples,
     unit_vector,
 )
@@ -92,13 +91,6 @@ def nodal_area(h):
     return float(kappa * np.sum(v * c)), 2.0 * kappa * c
 
 
-def nodal_objective(h, prob):
-    """Powered gap (2pi/N) sum max(h_C - h_j, 0)^p and its gradient."""
-    if math.isinf(prob.p):
-        raise GeometryError("p = inf has no smooth nodal objective; solve_nodal uses the epigraph form")
-    return powered_gap(_values(h), prob.container_values, prob.p)[:2]
-
-
 @dataclass
 class ConstraintReport:
     inclusion: np.ndarray  # h_C(theta_j) - h_j, feasible when >= 0
@@ -125,11 +117,8 @@ def nodal_constraints(h, prob):
 
 
 def energy_of(h, prob):
-    """Reported energy J_p of a candidate (max gap playing J_inf for p = inf)."""
-    v = _values(h)
-    if math.isinf(prob.p):
-        return float(np.max(np.maximum(prob.container_values - v, 0.0)))
-    return powered_energy(v, prob.container_values, prob.p)[1]
+    """Energy J_p of a candidate, J_inf (its largest gap) included."""
+    return powered_energy(_values(h), prob.container_values, prob.p)[1]
 
 
 def convexify(values):
@@ -316,22 +305,23 @@ def _h0_builder(nlp, n, obj_hess_diag):
 
 
 def _program(prob, zu):
-    """The nodal program for the problem's p: (nlp, lift, energy).
+    """The nodal program for the problem's p: (nlp, lift, measure), with
+    measure(x) -> (powered, energy, sigma) of a point of the program.
 
     Finite p minimizes the powered gap over h, scaled by the anchor's
-    largest gap (`geometry.gap_model`); starts are used as they are and the
-    energy is `energy_of`.  p = inf minimizes t over (h, t) with every gap
-    h_C - h_j <= t: `lift` gives a start its largest gap as slack, and the
-    optimal t, the Hausdorff-distance estimate, is the energy.  It is
-    clamped at 0: t may sit up to the feasibility bound below the largest
-    gap, which is 0 at alpha = 1.
+    largest gap (`geometry.gap_model`); starts are used as they are and
+    the measure is `powered_energy`.  p = inf minimizes t over (h, t) with
+    every gap h_C - h_j <= t: `lift` gives a start its largest gap as
+    slack, and the measure is (inf, t, t), the optimal t being the
+    Hausdorff-distance estimate.  t is clamped at 0: it may sit up to the
+    feasibility bound below the largest gap, which is 0 at alpha = 1.
     """
     if not math.isinf(prob.p):
         objective, curvature = gap_model(
             prob.container_values, prob.p, _anchor_start(prob, zu), container_scale(prob.container)
         )
         nlp = _nodal_nlp(prob, lambda x: objective(x)[:2], curvature, _area_equality(prob))
-        return nlp, lambda v: v, lambda x: energy_of(x, prob)
+        return nlp, lambda v: v, lambda x: powered_energy(x, prob.container_values, prob.p)
 
     n = prob.n
 
@@ -347,7 +337,12 @@ def _program(prob, zu):
         prob, slack_objective, lambda x: np.zeros(n), _area_equality(prob),
         gap_rhs=-prob.container_values, slack=True,
     )
-    return nlp, lift, lambda x: max(float(x[-1]), 0.0)
+
+    def measure(x):
+        t = max(float(x[-1]), 0.0)
+        return math.inf, t, t
+
+    return nlp, lift, measure
 
 
 def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
@@ -355,20 +350,17 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
 
     `init` (a SupportSamples warm start) is clipped into the container and
     convexified, then competes with the deterministic scaled-copy anchor and
-    `seeds` random feasible starts.  `_program` chooses the program for p;
-    at p = inf the reported `energy` is the optimal epigraph slack t clamped
-    at 0, the Hausdorff-distance estimate.
+    `seeds` random feasible starts.  `_program` chooses the program for p
+    and its measure, which ranks the starts and gives the reported values
+    (at p = inf the slack t clamped at 0, the Hausdorff-distance estimate).
     """
     t0 = time.perf_counter()
     starts, zu = _gather_starts(prob, init, seeds, base_seed)
-    nlp, lift, energy = _program(prob, zu)
-    winner = run_multistart(nlp, [lift(v) for v in starts], params, energy)
+    nlp, lift, measure = _program(prob, zu)
+    winner = run_multistart(nlp, [lift(v) for v in starts], params, lambda x: measure(x)[1])
     values = winner.x[: prob.n]
     report = nodal_constraints(values, prob)
-    if math.isinf(prob.p):
-        powered, sigma = float("inf"), winner.energy
-    else:
-        powered, _, sigma = powered_energy(values, prob.container_values, prob.p)
+    powered, _, sigma = measure(winner.x)
     return SolveResult.from_winner(
         winner,
         samples=SupportSamples(values),

@@ -21,9 +21,11 @@ from .geometry import (
     _core_area_perimeter,
     _rounded_core,
     container_area,
+    convexity_residuals,
     curvature_floor,  # re-exported: the bound within which the oracle applies
     grid_constants,
     inner_parallel,
+    perimeter_from_support,
     powered_energy,
     support_samples,
 )
@@ -75,12 +77,9 @@ def perimeter_identity_check(container, shape):
     Exact (to rounding) for feasible shapes: the clamp in J_1 never fires
     when h <= h_container at every node.
     """
-    h_c = support_samples(container, shape.n).values
-    w = TWO_PI / shape.n
-    j1 = w * float(np.sum(np.maximum(h_c - shape.values, 0.0)))
-    p_container = w * float(np.sum(h_c))
-    p_shape = w * float(np.sum(shape.values))
-    return abs(j1 - (p_container - p_shape))
+    h_c = support_samples(container, shape.n)
+    j1 = powered_energy(shape.values, h_c.values, 1.0)[0]
+    return abs(j1 - (perimeter_from_support(h_c) - perimeter_from_support(shape)))
 
 
 @dataclass
@@ -99,16 +98,15 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     kept points satisfy every discrete convexity residual >= 0 and match the
     target area within `area_slack` = the largest single-grid-step area
     change at the container configuration (widened once, by 4x, if nothing
-    qualifies).  Points score their powered gap (`powered_value`), and the
-    `energy` is its p-th root J_p; at p = inf they score their largest gap,
-    which is the energy, and `powered_value` is inf, as in `solve_nodal`.
-    Where a chunk's best score is 0, subnormal or inf (large p), its
-    feasible points are ranked by `powered_energy`'s scale-safe J_p
-    instead.  Ties break to the lowest enumeration index.  The outer grid
-    dimension is scanned in chunks, one per CPU (`per_cpu_map`); the best
-    of each chunk is exact and the reduction keeps the lowest (energy,
-    index) pair, so the report is bitwise the same for any number of
-    processes.
+    qualifies).  Points score their powered gap, at p = inf their largest
+    gap; the chosen point's `powered_value` and `energy` are
+    `powered_energy`'s, as in `solve_nodal`.  Where a chunk's best finite-p
+    score is 0, subnormal or inf (large p), its feasible points are ranked
+    by `powered_energy`'s scale-safe J_p instead.  Ties break to the
+    lowest enumeration index.  The outer grid dimension is scanned in
+    chunks, one per CPU (`per_cpu_map`); the best of each chunk is exact
+    and the reduction keeps the lowest (energy, index) pair, so the report
+    is bitwise the same for any number of processes.
     """
     G = int(grid_resolution)
     if G < 2:
@@ -123,7 +121,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     steps = h_c / (G - 1)
     area_slack = float(np.max(np.abs(area_grad) * steps))
 
-    two_cos, kappa = grid_constants(n)
+    kappa = grid_constants(n)[1]
     w = TWO_PI / n
     hausdorff = np.isinf(p)
     tail = np.stack(
@@ -131,11 +129,11 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     ).reshape(-1, n - 1)
 
     def scan_chunk(i0, slack):
-        """(energy, grid_index, values, score) of the best feasible point, or None."""
+        """(energy, grid_index, values, powered) of the best feasible point, or None."""
         H = np.empty((tail.shape[0], n))
         H[:, 0] = i0 * steps[0]
         H[:, 1:] = tail * steps[1:]
-        c = np.roll(H, -1, axis=1) + np.roll(H, 1, axis=1) - two_cos * H
+        c = convexity_residuals(H)
         feas = np.all(c >= 0.0, axis=1)
         area = kappa * np.sum(H * c, axis=1)
         feas &= np.abs(area - target) <= slack
@@ -149,16 +147,12 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
                 score = w * np.sum(gaps**p, axis=1)
         score[~feas] = np.inf
         k = int(np.argmin(score))
-        if hausdorff:
-            energy = float(score[k])
-        elif sys.float_info.min <= score[k] < np.inf:
-            energy = float(score[k]) ** (1.0 / p)
-        else:  # the plain scores under- or overflow: rank the feasible rows by J_p
+        if not (hausdorff or sys.float_info.min <= score[k] < np.inf):
+            # the plain scores under- or overflow: rank the feasible rows by J_p
             rows = np.nonzero(feas)[0]
-            energies = [powered_energy(H[i], h_c, p)[1] for i in rows]
-            k = int(rows[np.argmin(energies)])
-            energy = min(energies)
-        return energy, i0 * tail.shape[0] + k, H[k].copy(), float(score[k])
+            k = int(rows[np.argmin([powered_energy(H[i], h_c, p)[1] for i in rows])])
+        powered, energy, _ = powered_energy(H[k], h_c, p)
+        return energy, i0 * tail.shape[0] + k, H[k].copy(), powered
 
     def full_scan(slack):
         """The chunks' best: lowest energy, ties to the lowest grid index."""
@@ -174,11 +168,11 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
         raise OracleNotApplicable(
             f"no feasible grid point within area slack {4 * area_slack:g}"
         )
-    energy, _, values, score = best
+    energy, _, values, powered = best
     return BruteForceReport(
         values=SupportSamples(values),
         energy=energy,
-        powered_value=np.inf if hausdorff else score,
+        powered_value=powered,
         area_slack=4.0 * area_slack if widened else area_slack,
         widened=widened,
     )

@@ -188,6 +188,15 @@ class TestPoweredEnergy:
         c = np.full(64, 20.0)
         assert powered_energy(c, c, 400.0) == (0.0, 0.0, 0.0)
 
+    def test_infinite_p_is_the_largest_clamped_gap(self):
+        c = support_samples(DISK, 64).values
+        v = 0.7 * c
+        v[5] = 2.0 * c[5]  # overshoots the container: that gap clamps to 0
+        v[9] = 0.1 * c[9]
+        assert powered_energy(v, c, math.inf) == (math.inf, c[9] - v[9], c[9] - v[9])
+        assert powered_energy(c, c, math.inf) == (math.inf, 0.0, 0.0)
+        assert powered_energy(c + 1.0, c, math.inf) == (math.inf, 0.0, 0.0)
+
 
 class TestHausdorff:
     def test_concentric_disks(self):
@@ -297,6 +306,12 @@ class TestConvexityResiduals:
         v = np.random.default_rng(n).normal(size=n)
         reference = np.roll(v, -1) + np.roll(v, 1) - 2.0 * np.cos(2.0 * np.pi / n) * v
         np.testing.assert_array_equal(convexity_residuals(v), reference)
+        # a stack of shapes, one per row, as the exhaustive oracle scans them
+        rows = np.random.default_rng(n + 1).normal(size=(5, n))
+        stacked = convexity_residuals(rows)
+        for row, c in zip(rows, stacked):
+            reference = np.roll(row, -1) + np.roll(row, 1) - 2.0 * np.cos(2.0 * np.pi / n) * row
+            np.testing.assert_array_equal(c, reference)
 
 
 class TestPolygonArea:
