@@ -16,10 +16,10 @@ from .fourier import FourierShape, fourier_to_nodal
 from .geometry import (
     GeometryError,
     SupportSamples,
-    TWO_PI,
     _rounded_core,
     container_bounds,
     container_scale,
+    grid_angles,
     reconstruct_boundary,
     unit_vector,
 )
@@ -50,14 +50,18 @@ def atomic_write_text(path, text):
         raise
 
 
+def _write_table(path, header, rows):
+    """The header line, then one comma-joined line per row; float cells
+    (np.float64 included) go through `fmt`, every other cell through `str`."""
+    lines = [header]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def export_csv(samples, path):
     """Nodal shape as `theta,h` rows, radians in [0, 2pi), monotone."""
-    values = samples.values if isinstance(samples, SupportSamples) else np.asarray(samples)
-    n = len(values)
-    theta = TWO_PI * np.arange(n) / n
-    lines = [SHAPE_HEADER]
-    lines += [f"{fmt(t)},{fmt(h)}" for t, h in zip(theta, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = samples.values if isinstance(samples, SupportSamples) else np.asarray(samples, dtype=float)
+    _write_table(path, SHAPE_HEADER, zip(grid_angles(len(values)), values))
 
 
 def _read_rows(path, header):
@@ -85,44 +89,30 @@ def load_shape_csv(path):
     rows = _read_rows(path, SHAPE_HEADER)
     theta = _column(path, rows, 0)
     values = _column(path, rows, 1)
-    n = len(values)
-    expected = TWO_PI * np.arange(n) / n
-    if n < 3 or np.max(np.abs(theta - expected)) > 1e-9:
+    if len(values) < 3 or np.max(np.abs(theta - grid_angles(len(values)))) > 1e-9:
         raise GeometryError(f"{path}: angles are not the uniform [0, 2pi) grid")
     return SupportSamples(values)
 
 
 def export_history_csv(history, path):
-    """Convergence history, one row per outer iteration."""
-    lines = [HISTORY_HEADER]
-    for rec in history:
-        lines.append(
-            f"{rec.outer_iter},{rec.inner_iters},{fmt(rec.objective)},"
-            f"{fmt(rec.eq_residual)},{fmt(rec.max_violation)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Convergence history, one row per outer iteration; its three measures
+    are written as floats, whatever number type they hold."""
+    rows = [
+        (r.outer_iter, r.inner_iters, float(r.objective), float(r.eq_residual), float(r.max_violation))
+        for r in history
+    ]
+    _write_table(path, HISTORY_HEADER, rows)
 
 
 def export_study_csv(columns, rows, path):
     """Generic study table; cells are formatted via fmt for floats."""
-
-    def cell(v):
-        if isinstance(v, float):
-            return fmt(v)
-        return str(v)
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell(row[c]) for c in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, ",".join(columns), ([row[c] for c in columns] for row in rows))
 
 
 def export_fourier_csv(shape, path):
     """Coefficients as `k,a,b` rows; the b cell is empty for k = 0."""
-    lines = [FOURIER_HEADER, f"0,{fmt(shape.a[0])},"]
-    for k in range(1, shape.order + 1):
-        lines.append(f"{k},{fmt(shape.a[k])},{fmt(shape.b[k - 1])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(k, shape.a[k], shape.b[k - 1]) for k in range(1, shape.order + 1)]
+    _write_table(path, FOURIER_HEADER, [(0, shape.a[0], "")] + rows)
 
 
 def load_fourier_csv(path):
@@ -176,7 +166,7 @@ def export_svg(container, shapes, path):
     # the container as core + rB (`geometry._rounded_core`): the core vertex
     # farthest along u, moved by r u, is the boundary point with normal u
     vertices, radius, _ = _rounded_core(container)
-    u = unit_vector(TWO_PI * np.arange(512) / 512)
+    u = unit_vector(grid_angles(512))
     outline = vertices[np.argmax(u @ vertices.T, axis=1)] + radius * u
     tol = 1e-6 * container_scale(container)
     parts = [

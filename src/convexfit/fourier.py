@@ -31,6 +31,7 @@ from .geometry import (
     container_area,
     container_scale,
     gap_model,
+    grid_angles,
     interior_point,
     powered_energy,
     powered_gap,
@@ -116,7 +117,7 @@ class FourierProblem:
         self.container_area = container_area(self.container)
         self.target_area = self.alpha * self.container_area
         self.constraint_angles = TWO_PI * np.arange(1, self.m + 1) / self.m
-        self.quadrature_angles = TWO_PI * np.arange(self.q) / self.q
+        self.quadrature_angles = grid_angles(self.q)
         self.container_on_constraints = support_eval(self.container, self.constraint_angles)
         self.container_on_quadrature = support_eval(self.container, self.quadrature_angles)
         rows = np.empty((2 * self.m, self.dim))
@@ -232,8 +233,7 @@ def fourier_objective(shape, prob):
 
 def fourier_to_nodal(shape, n):
     """Sample the truncated series on the uniform n-point nodal grid."""
-    theta = TWO_PI * np.arange(n) / n
-    return SupportSamples(shape.evaluate(theta))
+    return SupportSamples(shape.evaluate(grid_angles(n)))
 
 
 def truncate_container(container, n_f):
@@ -242,8 +242,7 @@ def truncate_container(container, n_f):
     Rectangle-rule coefficients via FFT on a dense grid; with grid >> n_f
     the aliasing error is far below the truncation error itself.
     """
-    theta = TWO_PI * np.arange(TRUNCATION_GRID) / TRUNCATION_GRID
-    h = support_eval(container, theta)
+    h = support_eval(container, grid_angles(TRUNCATION_GRID))
     c = np.fft.rfft(h) / TRUNCATION_GRID
     a = np.concatenate([[c[0].real], 2.0 * c[1 : n_f + 1].real])
     b = -2.0 * c[1 : n_f + 1].imag

@@ -238,15 +238,19 @@ class SupportSamples:
 
     @property
     def angles(self):
-        return TWO_PI * np.arange(self.n) / self.n
+        return grid_angles(self.n)
+
+
+def grid_angles(n):
+    """The uniform angular grid theta_j = 2*pi*j/n, j = 0..n-1."""
+    return TWO_PI * np.arange(n) / n
 
 
 def support_samples(spec, n):
     """Sample the exact container support on the uniform n-point grid."""
     if n < 3:
         raise GeometryError("need at least 3 sample angles")
-    theta = TWO_PI * np.arange(n) / n
-    return SupportSamples(support_eval(spec, theta))
+    return SupportSamples(support_eval(spec, grid_angles(n)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,12 +24,12 @@ import numpy as np
 from .geometry import (
     GeometryError,
     SupportSamples,
-    TWO_PI,
     _clip_halfplane,
     _integer,
     container_scale,
     convexity_residuals,
     gap_model,
+    grid_angles,
     grid_constants,
     interior_point,
     powered_energy,
@@ -73,7 +73,7 @@ class NodalProblem:
 
     @property
     def angles(self):
-        return TWO_PI * np.arange(self.n) / self.n
+        return grid_angles(self.n)
 
 
 def _values(h):
@@ -132,13 +132,11 @@ def convexify(values):
     exact and O(N^2).)  Only ever lowers values, preserving inclusion.
     """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    theta = TWO_PI * np.arange(n) / n
-    u = unit_vector(theta)
+    u = unit_vector(grid_angles(v.size))
     r = 2.0 * float(np.max(np.abs(v))) + 1.0
     pts = np.array([[r, r], [-r, r], [-r, -r], [r, -r]])
-    for j in range(n):
-        pts = _clip_halfplane(pts, u[j], v[j])
+    for u_j, v_j in zip(u, v):
+        pts = _clip_halfplane(pts, u_j, v_j)
         if len(pts) < 3:
             raise GeometryError("convexification emptied the shape")
     return np.min(np.stack([np.max(pts @ u.T, axis=0), v]), axis=0)
@@ -220,11 +218,9 @@ def _nodal_nlp(prob, objective, curvature, equality, gap_rhs=None, slack=False):
     """
     n = prob.n
     eye = np.eye(n)
-    shift_next = np.roll(eye, 1, axis=1)  # picks h_{j+1}
-    shift_prev = np.roll(eye, -1, axis=1)  # picks h_{j-1}
-    two_cos = grid_constants(n)[0]
-    a_cvx = -(shift_next + shift_prev - two_cos * eye)
-    rows = np.vstack([eye, a_cvx])
+    # row j of convexity_residuals(I) is C e_j, column j of the stencil
+    # matrix C; C is symmetric, so these rows are C itself
+    rows = np.vstack([eye, -convexity_residuals(eye)])
     rhs = np.concatenate([prob.container_values, np.zeros(n)])
     if gap_rhs is not None:
         k = int(slack)

@@ -111,7 +111,7 @@ def brute_force_nodal(container, n, p, alpha, grid_resolution):
     G = int(grid_resolution)
     if G < 2:
         raise GeometryError("grid resolution must be >= 2")
-    if float(G) ** n > BRUTE_FORCE_MAX_POINTS:
+    if G ** int(n) > BRUTE_FORCE_MAX_POINTS:  # exact: 25^256 overflows a float
         raise GeometryError(f"{G}^{n} grid points exceed the {BRUTE_FORCE_MAX_POINTS:.0e} cap")
     h_c = support_samples(container, n).values
     if np.min(h_c) <= 0:

@@ -275,16 +275,19 @@ def _inner_minimize(al, x0, tol, params):
         ad = al.A @ d
         step = 1.0
         accepted = None
-        for _ in range(MAX_BACKTRACKS):
-            x_try = x + step * d
-            trial = al.parts(x_try)
-            f_try = al.value(trial, r + step * ad)
-            evals += 1
-            if np.isfinite(f_try) and f_try <= f + ARMIJO * step * slope:
-                accepted = (x_try, trial, f_try)
-                break
-            backtracks += 1
-            step *= BACKTRACK
+        # a trial that overflows is rejected by the isfinite test, so its
+        # overflow and the nan that follows are not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(MAX_BACKTRACKS):
+                x_try = x + step * d
+                trial = al.parts(x_try)
+                f_try = al.value(trial, r + step * ad)
+                evals += 1
+                if np.isfinite(f_try) and f_try <= f + ARMIJO * step * slope:
+                    accepted = (x_try, trial, f_try)
+                    break
+                backtracks += 1
+                step *= BACKTRACK
         if accepted is None:
             break  # no decrease along the search direction: stop
         x_new, parts, f = accepted
@@ -357,7 +360,8 @@ def solve_nlp(problem, x0, params=None):
     mu = 0.0
     rho = RHO0
 
-    with np.errstate(over="ignore"):  # the checks below report an overflow
+    # the checks below report an overflow and the nan it leads to
+    with np.errstate(over="ignore", invalid="ignore"):
         f0, g0 = problem.objective(x)
         g0_norm = float(np.linalg.norm(g0))
     if not np.isfinite(f0):

@@ -130,6 +130,36 @@ def test_study_csv_formats_floats(tmp_path):
     assert lines[1] == "0.33333333333333331,ok"
 
 
+def test_every_writer_formats_each_cell_kind(tmp_path):
+    # floats (np.float64 too) in 17 digits, integers and text as written;
+    # the shape, history-measure and coefficient cells are floats whatever
+    # number type they come in as
+    third = np.float64(1 / 3)
+    cells = [0.1, third, 7, np.int64(-12), float("nan"), float("inf"), ""]
+    export_study_csv(list("abcdefg"), [dict(zip("abcdefg", cells))], tmp_path / "study.csv")
+    export_csv([7, np.int64(-12), 0.1, third, np.nan, -np.inf], tmp_path / "shape.csv")
+    records = [
+        OuterRecord(np.int64(3), 7, 2, third, np.inf, 0.0),
+        OuterRecord(4, np.int64(0), np.nan, 0.1, np.int64(-12), 0.0),
+    ]
+    export_history_csv(records, tmp_path / "history.csv")
+    export_fourier_csv(FourierShape(np.array([2, np.int64(-12)]), [third]), tmp_path / "coef.csv")
+    expected = {
+        "study": "a,b,c,d,e,f,g\n0.10000000000000001,0.33333333333333331,7,-12,nan,inf,\n",
+        "shape": (
+            "theta,h\n0,7\n1.0471975511965976,-12\n2.0943951023931953,0.10000000000000001\n"
+            "3.1415926535897931,0.33333333333333331\n4.1887902047863905,nan\n5.2359877559829888,-inf\n"
+        ),
+        "history": (
+            "outer_iter,inner_iter,objective,area_residual,max_violation\n"
+            "3,7,2,0.33333333333333331,inf\n4,0,nan,0.10000000000000001,-12\n"
+        ),
+        "coef": "k,a,b\n0,2,\n1,-12,0.33333333333333331\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / f"{name}.csv").read_bytes() == text.encode()
+
+
 def test_svg_two_concentric_disks(tmp_path):
     path = tmp_path / "disks.svg"
     export_svg(DISK, [support_samples(Disk((0, 0), 0.5), 128)], path)

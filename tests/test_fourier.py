@@ -325,6 +325,19 @@ class TestSolve:
         assert res.energy > 0.0
         assert res.energy == energy
 
+    @pytest.mark.parametrize("name", ["square", "disk", "pentagon"])
+    @pytest.mark.parametrize("p", [512.0, 4096.0, 1e4])
+    @pytest.mark.parametrize("seeds", [0, 1, 4])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_p_overflow_is_silent(self, name, p, seeds):
+        # a line-search trial whose powered gap overflows is rejected by its
+        # non-finite value, and a start whose objective overflows at x0
+        # aborts, as some random starts at seeds=4 do; neither may raise a
+        # RuntimeWarning on the way
+        prob = FourierProblem(named_container(name), n_f=4, m=32, q=32, p=p, alpha=0.5)
+        res = solve_fourier(prob, seeds=seeds)
+        assert np.isfinite(res.energy) and res.energy > 0.0
+
     def test_rooted_objective_same_argmin(self, monkeypatch):
         # optimizing value**(1/p) instead of the powered value keeps the minimizers
         prob = FourierProblem(DISK, n_f=8, m=48, q=128, p=2.0, alpha=0.4)

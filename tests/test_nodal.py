@@ -5,20 +5,24 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from convexfit import nodal
 from convexfit.experiments import StudyConfig, equivalence_probe, gamma_sweep
 from convexfit.fourier import FourierProblem
 from convexfit.geometry import (
     Disk,
     GeometryError,
+    MinkowskiSum,
     Polygon,
     Scaled,
     SupportSamples,
     TWO_PI,
+    Translated,
     convexity_residuals,
     named_container,
     polygon_area,
@@ -44,7 +48,7 @@ from convexfit.nodal import (
     _program,
     _random_start,
 )
-from convexfit.solver import SolverParams, feasibility_bound, violation
+from convexfit.solver import SolverParams, certified, check_kkt, feasibility_bound, violation
 from test_fourier import _pinned_digests, _print_digests
 from test_geometry import chain_convexity_defect, reconstruction_tolerance
 
@@ -390,6 +394,16 @@ class TestNewtonSeed:
         assert (nlp.dim, nlp.n_ineq) == (n, 3 * n)
         self.assert_inverts(nlp, hess, self.shape(prob, seed), seed, n)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 32, 128, 513])
+    def test_convexity_rows_are_the_shifted_identity_stencil_bitwise(self, n):
+        # the rows -c(e_j), signed zeros included, against the stencil built
+        # from the identity shifted one node each way
+        eye = np.eye(n)
+        two_cos = 2.0 * np.cos(2.0 * np.pi / n)
+        reference = -(np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - two_cos * eye)
+        rows = _nodal_nlp(NodalProblem(DISK, n=n), None, None, None).ineq_matrix
+        assert rows.tobytes() == np.vstack([eye, reference]).tobytes()
+
 
 class TestMinimax:
     def test_disk_inner_parallel(self):
@@ -496,29 +510,51 @@ def test_energy_is_a_positive_mean_of_the_gaps_at_any_p(points, s, n, p):
     st.sampled_from([1.0, 2.0, 8.0, math.inf]),
     st.sampled_from([16, 24, 32]),
     st.sampled_from([0, 2]),
+    st.sampled_from(["hull", "rounded", "translated"]),
+    st.floats(0.01, 2.0),
 )
-def test_a_solve_is_feasible_and_no_worse_than_the_anchor(points, stretch, shift, alpha, p, n, seeds):
-    # random hulls, flattened in y and moved off the origin: a solve raises
-    # InfeasibleError with its diagnostic, or returns a shape within the
-    # solver's feasibility bound whose energy lies between 0 and the anchor
-    # start's (up to that bound, as a minimax slack may), above 0 for alpha < 1
-    container = hull_polygon(np.array(points) * (1.0, stretch) + shift)
+def test_a_solve_is_feasible_and_no_worse_than_the_anchor(points, stretch, shift, alpha, p, n, seeds, kind, radius):
+    # random hulls, flattened in y and moved off the origin (or wrapped in a
+    # Translated), some rounded by a disk: a solve raises InfeasibleError
+    # with its diagnostic, or returns a shape within the solver's
+    # feasibility bound whose energy lies between 0 and the anchor start's
+    # (up to that bound, as a minimax slack may), above 0 for alpha < 1; a
+    # "converged" winner passes the KKT check with its solve's multipliers
+    points = np.array(points) * (1.0, stretch)
+    if kind == "translated":
+        container = Translated(hull_polygon(points), shift)
+    else:
+        container = hull_polygon(points + shift)
+        if kind == "rounded":
+            container = MinkowskiSum(container, Disk((0.0, 0.0), radius))
     try:
         prob = NodalProblem(container, n=n, p=p, alpha=alpha)
     except GeometryError as exc:  # a sliver: its discrete area rounds to 0 or below
         assert str(exc).startswith(f"container has no area on the {n}-point grid")
         return
+    calls, delegate = [], nodal.run_multistart
+
+    def spy(nlp, *args):
+        calls.append((nlp, delegate(nlp, *args)))
+        return calls[-1][1]
+
     try:
-        res = solve_nodal(prob, seeds=seeds)
+        with mock.patch.object(nodal, "run_multistart", spy):
+            res = solve_nodal(prob, seeds=seeds)
     except InfeasibleError as exc:
         assert str(exc).startswith("no feasible point found by any start (best violation")
         return
+    params = SolverParams()
+    nlp, winner = calls[-1]
+    if winner.status == "converged":
+        kkt = check_kkt(nlp, winner.x, winner.result.ineq_multipliers, winner.result.eq_multiplier)
+        assert certified(kkt, params, feasibility_bound(nlp, params))
     zu = unit_vector(prob.angles) @ interior_point(container)
     nlp = _program(prob, zu)[0]
     x = res.samples.values if nlp.dim == n else np.append(res.samples.values, res.energy)
-    assert violation(nlp, x)[0] <= feasibility_bound(nlp, SolverParams())
+    assert violation(nlp, x)[0] <= feasibility_bound(nlp, params)
     anchor = energy_of(_anchor_start(prob, zu), prob)
-    assert 0.0 <= res.energy <= anchor + SolverParams().feas_tol * max(1.0, anchor)
+    assert 0.0 <= res.energy <= anchor + params.feas_tol * max(1.0, anchor)
     if alpha < 1.0:
         assert res.energy > 0.0
 
@@ -526,8 +562,6 @@ def test_a_solve_is_feasible_and_no_worse_than_the_anchor(points, stretch, shift
 def test_off_center_container_with_negative_support():
     # origin outside the body: support values go negative, the interior
     # point recentres every construction
-    from convexfit.geometry import Translated
-
     spec = Translated(Disk((0.0, 0.0), 1.0), (3.0, 0.0))
     prob = NodalProblem(spec, n=64, p=2.0, alpha=0.25)
     assert np.min(prob.container_values) < 0

@@ -157,6 +157,12 @@ class TestBruteForce:
         with pytest.raises(Exception):
             brute_force_nodal(DISK, 6, 2.0, 0.25, 50)  # 50^6 > 1e8
 
+    def test_cap_holds_where_the_point_count_overflows_a_float(self):
+        # 25^256 (N and oracle_grid of configs/disk_hausdorff.yaml) is about
+        # 1e358: the cap is reported, not an OverflowError
+        with pytest.raises(geometry.GeometryError, match=r"^25\^256 grid points exceed the 1e\+08 cap$"):
+            brute_force_nodal(DISK, 256, 2.0, 0.25, 25)
+
     @pytest.mark.parametrize("n, G, expected", [(5, 9, 0.5), (4, 6, 0.6)])
     def test_infinite_p_minimizes_the_largest_gap(self, n, G, expected):
         rep = brute_force_nodal(DISK, n, np.inf, 0.25, G)
