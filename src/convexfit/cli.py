@@ -78,6 +78,8 @@ def _emit_solve(cfg, result, tag):
         f"area_residual={result.area_residual:.3g} status={result.status} "
         f"wall_time={result.wall_time:.2f}s"
     )
+    if result.message:  # why the run is not certified, and any start that aborted
+        print(f"{tag}: {result.message}")
 
 
 def _cmd_solve(cfg):

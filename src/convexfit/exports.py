@@ -17,6 +17,7 @@ from .geometry import (
     GeometryError,
     SupportSamples,
     _rounded_core,
+    _values,
     container_bounds,
     container_scale,
     grid_angles,
@@ -60,7 +61,7 @@ def _write_table(path, header, rows):
 
 def export_csv(samples, path):
     """Nodal shape as `theta,h` rows, radians in [0, 2pi), monotone."""
-    values = samples.values if isinstance(samples, SupportSamples) else np.asarray(samples, dtype=float)
+    values = _values(samples)
     _write_table(path, SHAPE_HEADER, zip(grid_angles(len(values)), values))
 
 

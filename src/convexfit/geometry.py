@@ -2,8 +2,11 @@
 
 A convex body K is encoded by h_K(theta) = sup{<(cos theta, sin theta), y> :
 y in K}.  Containers are symbolic (polygon, disk, stadium, Minkowski sums,
-scalings, translations) and evaluate their support exactly; candidate shapes
-are nodal samples of a support function on the uniform angular grid
+scalings, translations); each has one normal form conv(core) + r B
+(`_rounded_core`), and its support, area, perimeter, interior point and
+inner parallel bodies are all read from it.  A `ContainerSpec` subclass
+defined outside this module has no normal form and is refused.  Candidate
+shapes are nodal samples of a support function on the uniform angular grid
 theta_j = 2*pi*j/N, j = 0..N-1 (indices wrap modulo N).
 """
 
@@ -39,10 +42,7 @@ def unit_vector(theta):
 
 
 class ContainerSpec:
-    """Base class for symbolic convex-body descriptions."""
-
-    def support(self, theta):
-        raise NotImplementedError
+    """Marker base of the container kinds below; `_rounded_core` holds their geometry."""
 
 
 def _finite(value, what):
@@ -122,10 +122,6 @@ class Polygon(ContainerSpec):
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 
-    def support(self, theta):
-        u = unit_vector(theta)
-        return np.max(u @ self.vertices.T, axis=-1)
-
 
 @dataclass(frozen=True)
 class Disk(ContainerSpec):
@@ -137,10 +133,6 @@ class Disk(ContainerSpec):
             raise GeometryError("disk radius must be positive")
         _finite(self.radius, "disk radius")
         object.__setattr__(self, "center", _finite_pair(self.center, "disk center"))
-
-    def support(self, theta):
-        u = unit_vector(theta)
-        return u @ np.asarray(self.center) + self.radius
 
 
 @dataclass(frozen=True)
@@ -159,18 +151,11 @@ class Stadium(ContainerSpec):
         for name in ("half_length", "radius", "axis"):
             _finite(getattr(self, name), f"stadium {name}")
 
-    def support(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.half_length * np.abs(np.cos(theta - self.axis)) + self.radius
-
 
 @dataclass(frozen=True)
 class MinkowskiSum(ContainerSpec):
     left: ContainerSpec
     right: ContainerSpec
-
-    def support(self, theta):
-        return self.left.support(theta) + self.right.support(theta)
 
 
 @dataclass(frozen=True)
@@ -183,9 +168,6 @@ class Scaled(ContainerSpec):
             raise GeometryError("scale factor must be positive")
         _finite(self.factor, "scale factor")
 
-    def support(self, theta):
-        return self.factor * self.base.support(theta)
-
 
 @dataclass(frozen=True)
 class Translated(ContainerSpec):
@@ -195,16 +177,14 @@ class Translated(ContainerSpec):
     def __post_init__(self):
         object.__setattr__(self, "offset", _finite_pair(self.offset, "translation offset"))
 
-    def support(self, theta):
-        u = unit_vector(theta)
-        return self.base.support(theta) + u @ np.asarray(self.offset)
-
 
 def support_eval(spec, theta):
-    """Exact support value h_spec(theta); theta may be scalar or array."""
+    """Exact support value h_spec(theta) = max_v <v, u(theta)> + r of the normal
+    form conv(vertices) + r B (`_rounded_core`); theta may be scalar or array."""
     if not isinstance(spec, ContainerSpec):
         raise GeometryError(f"not a container spec: {spec!r}")
-    out = spec.support(theta)
+    vertices, radius, _ = _rounded_core(spec)
+    out = np.max(unit_vector(theta) @ vertices.T, axis=-1) + radius
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
@@ -241,6 +221,11 @@ class SupportSamples:
         return grid_angles(self.n)
 
 
+def _values(h):
+    """The nodal values of `h`, SupportSamples or array-like, as floats."""
+    return h.values if isinstance(h, SupportSamples) else np.asarray(h, dtype=float)
+
+
 def grid_angles(n):
     """The uniform angular grid theta_j = 2*pi*j/n, j = 0..n-1."""
     return TWO_PI * np.arange(n) / n
@@ -268,7 +253,7 @@ def convexity_residuals(h):
     The sampled function is the support function of a convex body exactly when
     every c_j is nonnegative.
     """
-    v = h.values if isinstance(h, SupportSamples) else np.asarray(h, float)
+    v = _values(h)
     c = np.empty_like(v)
     np.add(v[..., 2:], v[..., :-2], out=c[..., 1:-1])
     c[..., 0] = v[..., 1] + v[..., -1]
@@ -279,7 +264,7 @@ def convexity_residuals(h):
 
 def convexity_tolerance(h):
     """Scale-invariant acceptance tolerance for the convexity residuals."""
-    v = h.values if isinstance(h, SupportSamples) else np.asarray(h, float)
+    v = _values(h)
     return 1e-9 * max(1.0, float(np.max(np.abs(v))))
 
 
@@ -427,10 +412,10 @@ def _rounded_core(spec):
 
     Every container kind is a convex polygon, segment or point (its core,
     vertices as `_hull_ccw` returns them) thickened by a disk of radius
-    r >= 0, so its area, perimeter and inner parallel bodies follow from
-    Steiner's formula.  `point` lies strictly inside: a polygon's centroid,
-    a disk's centre, the origin for a stadium, carried through scalings,
-    translations and sums.
+    r >= 0: its support is max_v <v, u> + r, and its area, perimeter and
+    inner parallel bodies follow from Steiner's formula.  `point` lies
+    strictly inside: a polygon's centroid, a disk's centre, the origin for
+    a stadium, carried through scalings, translations and sums.
     """
     if isinstance(spec, Polygon):
         return spec.vertices, 0.0, polygon_centroid(spec.vertices)

@@ -26,6 +26,7 @@ from .geometry import (
     SupportSamples,
     _clip_halfplane,
     _integer,
+    _values,
     container_scale,
     convexity_residuals,
     gap_model,
@@ -74,10 +75,6 @@ class NodalProblem:
     @property
     def angles(self):
         return grid_angles(self.n)
-
-
-def _values(h):
-    return h.values if isinstance(h, SupportSamples) else np.asarray(h, dtype=float)
 
 
 def nodal_area(h):

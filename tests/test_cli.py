@@ -97,6 +97,20 @@ def test_solve_writes_outputs(tmp_path, outdir):
         assert (outdir / name).exists()
 
 
+def test_solve_says_why_it_is_not_certified(tmp_path, outdir, capsys):
+    cfg = write(
+        tmp_path,
+        "run.yaml",
+        f"container: disk\np: 1\nalpha: 1\nn: 24\nseeds: 1\noutput_dir: {outdir}\n",
+    )
+    assert main(["solve", cfg]) == 0
+    status, reason = capsys.readouterr().out.splitlines()
+    assert "status=max_iter" in status
+    assert reason == (
+        "nodal: start 0 kept its raw point: the solved point (max_outer) was worse or infeasible"
+    )
+
+
 def test_compare_methods_writes_three_files(tmp_path, outdir):
     cfg = write(
         tmp_path,

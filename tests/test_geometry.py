@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from convexfit.geometry import (
     _cross2,
     _hull_ccw,
+    ContainerSpec,
     Disk,
     EmptyInteriorError,
     GeometryError,
@@ -85,6 +86,8 @@ class TestSupportEval:
     def test_invalid_spec_rejected(self):
         with pytest.raises(GeometryError):
             support_eval("disk", 0.0)
+        with pytest.raises(GeometryError, match="unknown container spec"):
+            support_eval(type("Foreign", (ContainerSpec,), {})(), 0.0)  # it has no normal form
         with pytest.raises(GeometryError):
             Disk((0, 0), -1.0)
         with pytest.raises(GeometryError):
@@ -382,6 +385,26 @@ def test_scaling_and_translation(s, vx, vy, theta):
     assert container_area(Scaled(base, s)) == pytest.approx(
         s**2 * container_area(base), rel=1e-12
     )
+
+
+_angle_arrays = st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=32).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 2), st.floats(0.05, 1.5), st.floats(-np.pi, np.pi), _angle_arrays)
+def test_stadium_closed_form(half_length, r, axis, theta):
+    # the normal form's segment core gives the support L |cos(theta - a)| + r
+    expected = half_length * np.abs(np.cos(theta - axis)) + r
+    h = support_eval(Stadium(half_length, r, axis), theta)
+    np.testing.assert_allclose(h, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 2), _angle_arrays)
+def test_off_centre_disk_closed_form(cx, cy, r, theta):
+    # the normal form's point core gives the support <c, u(theta)> + r
+    expected = unit_vector(theta) @ np.array([cx, cy]) + r
+    np.testing.assert_allclose(support_eval(Disk((cx, cy), r), theta), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
