@@ -40,7 +40,7 @@ from .fourier import (
     solve_fourier,
     truncate_container,
 )
-from .multistart import InfeasibleError
+from .multistart import InfeasibleError, SolveResult
 from .nodal import (
     NodalProblem,
     convexify,
@@ -55,7 +55,6 @@ from .oracles import (
     perimeter_identity_check,
     triangle_conjecture_candidate,
 )
-from .results import SolveResult
 from .solver import NlpProblem, NlpResult, SolverParams, check_kkt, solve_nlp
 
 __all__ = [

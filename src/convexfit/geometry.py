@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class Polygon(ContainerSpec):
     """Convex polygon; vertices are hull-cleaned to strict CCW order."""
 
     vertices: np.ndarray
+    centroid: np.ndarray = field(init=False, repr=False)  # their polygon_centroid, computed once
 
     def __post_init__(self):
         hull = _hull_ccw(self.vertices)
@@ -121,6 +122,9 @@ class Polygon(ContainerSpec):
             )
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
+        centroid = polygon_centroid(hull)
+        centroid.setflags(write=False)
+        object.__setattr__(self, "centroid", centroid)
 
 
 @dataclass(frozen=True)
@@ -418,7 +422,7 @@ def _rounded_core(spec):
     a stadium, carried through scalings, translations and sums.
     """
     if isinstance(spec, Polygon):
-        return spec.vertices, 0.0, polygon_centroid(spec.vertices)
+        return spec.vertices, 0.0, spec.centroid
     if isinstance(spec, Disk):
         center = np.asarray(spec.center, dtype=float)
         return center[None, :], spec.radius, center

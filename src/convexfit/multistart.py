@@ -3,7 +3,8 @@
 Every start is solved independently with a deterministic RNG stream derived
 from (base_seed, start_index); raw starts and polished points are pooled and
 the best feasible candidate wins.  A feasible warm start can therefore never
-be beaten by a worse "solution": descent only polishes it downward.
+be beaten by a worse "solution": descent only polishes it downward.  Both
+solves return the winner as a `SolveResult`.
 
 The starts are solved one per CPU: `per_cpu_map` deals them to this
 process and to forked children.  A solve is a pure function of the problem,
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import SupportSamples
 from .solver import (
     NlpResult, SolverAbort, SolverParams, certified, check_kkt, feasibility_bound, solve_nlp, violation
 )
@@ -55,6 +57,52 @@ class Winner:
     result: NlpResult | None
     status: str
     message: str
+
+
+@dataclass
+class SolveResult:
+    """Outcome of a multistart shape optimization.
+
+    `energy` is the reported J_p = (powered objective)^(1/p); for the minimax
+    formulation it is the optimal slack t (the Hausdorff distance estimate).
+    `sigma_normalized` is the cross-p comparable value
+    ((1/2pi) * powered)^(1/p), equal to `energy` for p = inf.
+    """
+
+    samples: SupportSamples
+    energy: float
+    powered_value: float
+    sigma_normalized: float
+    p: float
+    area: float
+    area_residual: float
+    kkt_residual: float
+    status: str
+    history: list = field(default_factory=list)
+    wall_time: float = 0.0
+    base_seed: object = 0
+    best_start: int = -1
+    fourier_coefficients: tuple[np.ndarray, np.ndarray] | None = None
+    message: str = ""
+
+    @classmethod
+    def from_winner(cls, winner, note="", **fields):
+        """A result whose solve-tail fields come from a multistart Winner.
+
+        The winner gives `energy`, `kkt_residual`, `status`, `history`,
+        `best_start` and `message`, with `note` appended to the message;
+        `fields` are the discretization's own.
+        """
+        result = winner.result
+        return cls(
+            energy=winner.energy,
+            kkt_residual=result.kkt_residual if result is not None else np.inf,
+            status=winner.status,
+            history=result.history if result is not None else [],
+            best_start=winner.start,
+            message="; ".join(filter(None, [winner.message, note])),
+            **fields,
+        )
 
 
 def _workers(count):

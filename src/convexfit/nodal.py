@@ -37,8 +37,7 @@ from .geometry import (
     support_samples,
     unit_vector,
 )
-from .multistart import run_multistart, seed_key
-from .results import SolveResult
+from .multistart import SolveResult, run_multistart, seed_key
 from .solver import NlpProblem
 
 INIT_SCALE_RANGE = (0.3, 1.0)
@@ -50,7 +49,8 @@ class NodalProblem:
 
     The area target is alpha times the *discrete* container area, so that
     alpha = 1 is exactly feasible on every grid.  A container whose discrete
-    area rounds to 0 or below (a sliver) is refused.
+    area is not above n^2 eps max h_C^2, the scale of its rounding, is
+    refused: such a sliver's random starts convexify to nothing.
     """
 
     container: object
@@ -68,7 +68,7 @@ class NodalProblem:
             raise GeometryError("area fraction alpha must lie in [0, 1]")
         self.container_values = support_samples(self.container, self.n).values
         area = self.container_area_discrete = nodal_area(self.container_values)[0]
-        if not area > 0.0:
+        if not area > self.n**2 * np.finfo(float).eps * float(np.max(self.container_values**2)):
             raise GeometryError(f"container has no area on the {self.n}-point grid ({area:.3g})")
         self.target_area = self.alpha * area
 
@@ -246,8 +246,8 @@ def _h0_builder(nlp, n, obj_hess_diag):
     sums the weights that share a position (gap rows meet the diagonal, and
     the wrapped bands overlap at N = 3 and 4) in the order they are listed,
     and the sums go onto rho eg eg^T.  The matrix is dense (dim x dim) and
-    np.linalg.solve factors it at every apply: O(N^3), about half of an
-    N = 512 solve.
+    np.linalg.solve factors it at every apply: O(N^3).  Of an N = 512 solve
+    the LU takes 68 % and the dense rank-one np.outer fill 12 %.
     """
     two_cos = grid_constants(n)[0]
     dim = nlp.dim
@@ -352,7 +352,7 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     nlp, lift, measure = _program(prob, zu)
     winner = run_multistart(nlp, [lift(v) for v in starts], params, lambda x: measure(x)[1])
     values = winner.x[: prob.n]
-    report = nodal_constraints(values, prob)
+    area = nodal_area(values)[0]
     powered, _, sigma = measure(winner.x)
     return SolveResult.from_winner(
         winner,
@@ -360,11 +360,8 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
         powered_value=powered,
         sigma_normalized=sigma,
         p=prob.p,
-        area=nodal_area(values)[0],
-        area_residual=report.area_residual,
-        max_inclusion_violation=float(np.max(-report.inclusion, initial=0.0)),
-        min_convexity_residual=float(np.min(report.convexity)),
+        area=area,
+        area_residual=(area - prob.target_area) / prob.container_area_discrete,
         wall_time=time.perf_counter() - t0,
         base_seed=base_seed,
-        n_starts=len(starts),
     )

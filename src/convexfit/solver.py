@@ -303,7 +303,7 @@ def _inner_minimize(al, x0, tol, params):
 def dense_h0_builder(problem, obj_hessian):
     """Gauss-Newton seed: (H_f + rho A_act^T A_act + rho eg eg^T + delta I)^{-1}.
 
-    `obj_hessian(x)` returns the (dense or diagonal) objective Hessian.  The
+    `obj_hessian(x)` returns the dense objective Hessian.  The
     indefinite curvature of the equality constraint is deliberately dropped:
     the remaining model is positive semidefinite by construction.  Meant for
     moderate dimensions (the masked normal matrix is formed densely).  The
@@ -320,12 +320,8 @@ def dense_h0_builder(problem, obj_hessian):
         if key != normal[0]:
             Am = A[active]
             normal[:] = key, rho * (Am.T @ Am)
-        H = normal[1].copy()
-        Hf = obj_hessian(x)
-        if np.ndim(Hf) == 1:
-            H.ravel()[diagonal] += Hf
-        else:
-            H += Hf
+        H = normal[1].copy()  # C order, so H.ravel() below is a view
+        H += obj_hessian(x)
         if eq_grad is not None:
             H += rho * np.outer(eq_grad, eq_grad)
         H.ravel()[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))

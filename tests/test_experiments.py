@@ -124,7 +124,7 @@ class TestEquivalenceProbe:
             ineq_matrix=np.array([[1.0], [-1.0]]),
             ineq_rhs=np.array([0.0, -1.0]),
         )
-        rows.h0_builder = dense_h0_builder(rows, lambda x: np.full(1, 2.0))
+        rows.h0_builder = dense_h0_builder(rows, lambda x: np.diag(np.full(1, 2.0)))
 
         def stage2(nlp, starts, params, energy_fn):
             return multistart.run_multistart(rows, [np.zeros(1)], params, energy_fn)

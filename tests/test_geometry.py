@@ -94,6 +94,22 @@ class TestSupportEval:
             Polygon([(0, 0), (1, 1), (2, 2)])  # collinear
 
 
+def test_a_polygon_computes_its_centroid_once(monkeypatch):
+    from convexfit import geometry
+
+    specs = [SQUARE, named_container("pentagon"), Polygon([(2, 0), (0, 1), (-1, -1), (0, 0), (1, -1)])]
+    expected = [geometry.polygon_centroid(spec.vertices) for spec in specs]
+    calls = []
+    centroid = geometry.polygon_centroid
+    monkeypatch.setattr(geometry, "polygon_centroid", lambda chain: calls.append(1) or centroid(chain))
+    for spec, point in zip(specs, expected):
+        support_eval(spec, np.linspace(0.0, TWO_PI, 768, endpoint=False))
+        support_eval(spec, 0.3)
+        geometry.container_scale(spec)
+        assert interior_point(spec).tobytes() == point.tobytes()
+    assert calls == []
+
+
 def test_degenerate_hulls_are_cores_but_not_polygons():
     np.testing.assert_array_equal(_hull_ccw([(1, 2), (1, 2), (1, 2)]), [[1, 2]])
     np.testing.assert_array_equal(_hull_ccw([(2, 2), (0, 0), (1, 1)]), [[0, 0], [2, 2]])

@@ -70,14 +70,22 @@ SQUARE = named_container("square")
             lambda: NodalProblem(Polygon([(0.0, 0.0), (0.0, 1.0), (1e-30, 0.0)]), n=24),
             r"^container has no area on the 24-point grid \(",
         ),
+        (
+            lambda: NodalProblem(Translated(Polygon([(0.0, 0.0), (0.0, 2.0), (1e-261, 2.0)]), (1.0, 2.0)), n=32),
+            r"^container has no area on the 32-point grid \(",
+        ),
     ],
-    ids=["fourier_p_nan", "nodal_p_minus_inf", "n_float", "n_bool", "n_f_float", "m_float", "q_float", "sliver"],
+    ids=[
+        "fourier_p_nan", "nodal_p_minus_inf", "n_float", "n_bool", "n_f_float", "m_float", "q_float", "sliver",
+        "rounded_sliver",
+    ],
 )
 def test_problems_reject_bad_settings_at_construction(build, message):
     # a NaN exponent or a non-integer grid size used to build, and to fail
     # later in the solve (or in numpy) with a message naming no setting; a
     # nodal p = -inf used to build and solve as p = inf; a sliver whose
-    # discrete area rounds below 0 used to build and overflow the solver
+    # discrete area rounds below 0 used to build and overflow the solver,
+    # and one whose area rounds to 1.8e-15 to build and fail in `convexify`
     with pytest.raises(GeometryError, match=message):
         build()
 
@@ -485,7 +493,7 @@ def test_energy_is_a_positive_mean_of_the_gaps_at_any_p(points, s, n, p):
     container = hull_polygon(points)
     try:
         prob = NodalProblem(container, n=n, p=p)
-    except GeometryError as exc:  # a sliver: its discrete area rounds to 0 or below
+    except GeometryError as exc:  # a sliver: its discrete area is within rounding of 0
         assert str(exc).startswith(f"container has no area on the {n}-point grid")
         assume(False)
     shift = unit_vector(prob.angles) @ polygon_centroid(container.vertices)
@@ -529,7 +537,7 @@ def test_a_solve_is_feasible_and_no_worse_than_the_anchor(points, stretch, shift
             container = MinkowskiSum(container, Disk((0.0, 0.0), radius))
     try:
         prob = NodalProblem(container, n=n, p=p, alpha=alpha)
-    except GeometryError as exc:  # a sliver: its discrete area rounds to 0 or below
+    except GeometryError as exc:  # a sliver: its discrete area is within rounding of 0
         assert str(exc).startswith(f"container has no area on the {n}-point grid")
         return
     calls, delegate = [], nodal.run_multistart
@@ -588,15 +596,17 @@ def test_target_area_uses_discrete_container_measure():
 
 
 # Digests of nodal solves, taken while the finite-p and p = inf programs
-# had a builder each (see `_solve_digests`).
+# had a builder each (see `_solve_digests`).  The SolveResult digests were
+# re-taken when the record lost three unread fields; each equals the
+# earlier digest with those fields skipped.
 PINNED_SOLVES = {
     "sweep_disk_n128": [
         "514ed2195043a1b01798e8e02770d07ab2a8d844076f9ed6227e3590a2d80bc3",
-        "f3385bdf375c2d8bfad893211583c9c1fc1ddd6bf363e4326ef6f7a04e413452",
+        "386a1152aba6057db995bf6e2e958e30df53eb86bfb1698348629e33bca163ee",
     ],
-    "square_pinf": "f6ac8858526e1cb3ee9e781b52514cc65e03b4c3f3dba91c993217853bacc552",
-    "probe_p4": "c62f9f6c06c21bd387dba73f8a1faaf6bd5c62851f0c0db9567e88ab8b9c25fd",
-    "probe_pinf": "bf7f4f1c4f7031ce2c33dc34d0ef6bcd0959f636be44b77c020220423869154a",
+    "square_pinf": "107266f22dfe25f9e60447464c0c7e9b9b71d72eeff005d3770b5c5f958627a4",
+    "probe_p4": "2c6e9ed7b29a0ad16477f82915b0be1656bc1a1f0ad7b956170fa9d3dc4a20c5",
+    "probe_pinf": "d9e9e54b6594130b1fa99fb575f276445e6ac1b30d67c6216297fc16478f7257",
 }
 
 

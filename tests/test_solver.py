@@ -48,7 +48,7 @@ def test_active_bound_multiplier():
         ineq_matrix=np.array([[-1.0]]),
         ineq_rhs=np.array([0.0]),
     )
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(1))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.zeros(1)))
     res = solve_nlp(prob, np.array([3.0]))
     assert res.status == "converged"
     assert abs(res.x[0]) <= 1e-8
@@ -61,7 +61,7 @@ def test_symmetric_projection():
         objective=lambda x: (float(x @ x), 2.0 * x),
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.full(2, 2.0)))
     res = solve_nlp(prob, np.zeros(2), SolverParams(feas_tol=1e-9))
     np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-6)
     report = check_kkt(prob, res.x, None, res.eq_multiplier)
@@ -76,7 +76,7 @@ def test_multistart_without_inequality_rows():
         objective=lambda x: (float(x @ x), 2.0 * x),
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.full(2, 2.0)))
     best = run_multistart(prob, [np.zeros(2)], SolverParams(), lambda x: float(x @ x))
     assert best.message == ""  # no aborts, and nothing left uncertified
     np.testing.assert_allclose(best.x, [0.5, 0.5], atol=1e-8)
@@ -91,7 +91,7 @@ def test_multistart_raises_when_nothing_is_feasible():
         ineq_matrix=np.array([[1.0], [-1.0]]),
         ineq_rhs=np.array([0.0, -1.0]),
     )
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(1, 2.0))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.full(1, 2.0)))
     with pytest.raises(InfeasibleError) as err:
         run_multistart(prob, [np.zeros(1), np.ones(1)], None, lambda x: float(x @ x))
     assert str(err.value).startswith("no feasible point found by any start (best violation")
@@ -124,7 +124,7 @@ def test_bitwise_deterministic_history():
         objective=lambda x: (float(x @ x), 2.0 * x),
         equality=lambda x: (float(x[0] + x[1] - 1.0), np.array([1.0, 1.0])),
     )
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.full(2, 2.0)))
     a = solve_nlp(prob, np.array([0.3, -0.2]))
     b = solve_nlp(prob, np.array([0.3, -0.2]))
     assert len(a.history) == len(b.history)
@@ -206,7 +206,7 @@ def test_nonfinite_objective_aborts():
         return float("nan"), np.zeros(1)
 
     prob = NlpProblem(dim=1, objective=bad)
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(1))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.zeros(1)))
     with pytest.raises(SolverAbort):
         solve_nlp(prob, np.zeros(1))
 
@@ -218,7 +218,7 @@ def test_an_overflowing_gradient_norm_aborts_and_says_so():
         return 1e300, np.full(2, 1e200)
 
     prob = NlpProblem(dim=2, objective=steep)
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.zeros(2))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.zeros(2)))
     with pytest.raises(SolverAbort, match="gradient 2-norm overflows at x0"):
         solve_nlp(prob, np.zeros(2))
 
@@ -349,7 +349,7 @@ def test_toy_sweep_inner_loops_end_at_null_steps(monkeypatch):
 
 def test_exit_reason_reaches_the_message():
     prob = NlpProblem(dim=2, objective=quadratic([1.0, 2.0]), ineq_matrix=np.eye(2), ineq_rhs=np.zeros(2))
-    prob.h0_builder = dense_h0_builder(prob, lambda x: np.full(2, 2.0))
+    prob.h0_builder = dense_h0_builder(prob, lambda x: np.diag(np.full(2, 2.0)))
     res = solve_nlp(prob, np.full(2, -1.0), SolverParams(max_outer=1, outer_tol=1e-14))
     assert res.status != "converged"
     assert res.reason == "max_outer"
