@@ -340,10 +340,8 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     shape = FourierShape.from_vector(x)
     powered, _, sigma = powered_energy(B @ x, prob.container_on_quadrature, p)
     area = fourier_area(x)[0]
-    row_violation = float(np.max(rows @ x - rhs, initial=0.0))
     return SolveResult.from_winner(
         winner,
-        note=f"blended row violation {row_violation:.1e}" if row_violation > 0 else "",
         samples=fourier_to_nodal(shape, n_samples),
         powered_value=powered,
         sigma_normalized=sigma,

@@ -395,6 +395,9 @@ def polygon_area(chain):
 
 
 def polygon_centroid(chain):
+    """Shoelace centroid of a CCW convex chain, or its vertex mean where the
+    shoelace cancels to a point not strictly inside (10.6 outside a pentagon
+    moved by (1e6, 1e6))."""
     pts = np.asarray(chain, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     cross = x * np.roll(y, -1) - np.roll(x, -1) * y
@@ -403,7 +406,10 @@ def polygon_centroid(chain):
         return pts.mean(axis=0)
     cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * area)
     cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * area)
-    return np.array([cx, cy])
+    c = np.array([cx, cy])
+    if not np.all(_cross2(np.roll(pts, -1, axis=0) - pts, c - pts) > 0):
+        return pts.mean(axis=0)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,11 @@ class SolveResult:
     message: str = ""
 
     @classmethod
-    def from_winner(cls, winner, note="", **fields):
+    def from_winner(cls, winner, **fields):
         """A result whose solve-tail fields come from a multistart Winner.
 
         The winner gives `energy`, `kkt_residual`, `status`, `history`,
-        `best_start` and `message`, with `note` appended to the message;
-        `fields` are the discretization's own.
+        `best_start` and `message`; `fields` are the discretization's own.
         """
         result = winner.result
         return cls(
@@ -100,7 +99,7 @@ class SolveResult:
             status=winner.status,
             history=result.history if result is not None else [],
             best_start=winner.start,
-            message="; ".join(filter(None, [winner.message, note])),
+            message=winner.message,
             **fields,
         )
 

@@ -211,7 +211,7 @@ def _nodal_nlp(prob, objective, curvature, equality, gap_rhs=None, slack=False):
     h_j >= h_C - t for a fixed t), or with `slack` -h_j - t <= `gap_rhs`_j
     over (h, t), the slack t last (epigraph rows h_C - h_j <= t).  These
     are the rows `_h0_builder` assumes.  `curvature(x)` is the objective's
-    diagonal Hessian over h; `equality` (value, gradient) may be None.
+    diagonal Hessian over h; `equality` (value, gradient), None for zero.
     """
     n = prob.n
     eye = np.eye(n)
@@ -240,8 +240,8 @@ def _h0_builder(nlp, n, obj_hess_diag):
     The active normal matrix rho A_act^T A_act is diagonal (inclusion and
     gap rows) plus C^T D C for the convexity stencil, i.e. pentadiagonal
     with circular wrap; a slack column (dimension N + 1) borders it, and
-    the equality gradient the solver hands over adds a rank-one term.  Rows
-    beyond the first 2N are gap rows.  The raveled positions of the band, gap
+    the equality gradient the solver hands over (an array, zero without an
+    equality) adds a rank-one term.  Rows beyond the first 2N are gap rows.  The raveled positions of the band, gap
     and slack entries are fixed per problem.  At every step one np.bincount
     sums the weights that share a position (gap rows meet the diagonal, and
     the wrapped bands overlap at N = 3 and 4) in the order they are listed,
@@ -284,7 +284,7 @@ def _h0_builder(nlp, n, obj_hess_diag):
             if has_slack:
                 weights += [w_gap, w_gap, [rho * float(np.sum(d_gap))]]
         sums = np.bincount(bins, weights=np.concatenate(weights), minlength=positions.size)
-        H = rho * np.outer(eq_grad, eq_grad) if eq_grad is not None else np.zeros((dim, dim))
+        H = rho * np.outer(eq_grad, eq_grad)
         view = H.ravel()  # H is contiguous, so this writes into H
         view[positions] += sums
         view[diagonal] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))

@@ -51,16 +51,17 @@ class NlpProblem:
     """min f(x)  s.t.  A x <= b  and  g(x) = 0.
 
     `objective` and `equality` map x to (value, gradient); either constraint
-    block may be absent (missing inequality rows become an empty block).
-    All callables must be deterministic and return finite values near the
+    block may be absent: missing inequality rows become an empty block, a
+    missing equality the zero one, g(x) = 0 with a zero gradient.  All
+    callables must be deterministic and return finite values near the
     feasible set.
 
     `h0_builder(x, active, rho, eq_grad) -> (q -> d)` supplies an
     approximate inverse Hessian of the augmented Lagrangian, rebuilt at
     every inner iterate; `active` is the boolean mask of the inequality rows
     in the hinge, lam + rho (A x - b) >= 0, and `eq_grad` is the gradient
-    of `equality` at x (None without an equality), so that the builder need
-    not evaluate the equality again.  `solve_nlp` requires it; it may be
+    of `equality` at x, always an array, so that the builder need not
+    evaluate the equality again.  `solve_nlp` requires it; it may be
     attached after construction, and `check_kkt` does not use it.
     """
 
@@ -74,6 +75,8 @@ class NlpProblem:
     def __post_init__(self):
         if self.ineq_matrix is None:
             self.ineq_matrix, self.ineq_rhs = np.zeros((0, self.dim)), np.zeros(0)
+        if self.equality is None:
+            self.equality = lambda x: (0.0, np.zeros(x.size))
         self.ineq_matrix = np.asarray(self.ineq_matrix, dtype=float)
         self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=float)
         if self.ineq_matrix.shape != (self.ineq_rhs.size, self.dim):
@@ -149,9 +152,7 @@ class NlpResult:
 def violation(problem, x):
     """(max positive inequality overrun or |g|, g) at x."""
     v_ineq = float(np.max(problem.ineq_matrix @ x - problem.ineq_rhs, initial=0.0))
-    g = 0.0
-    if problem.equality is not None:
-        g = float(problem.equality(x)[0])
+    g = float(problem.equality(x)[0])
     return max(v_ineq, abs(g)), g
 
 
@@ -170,8 +171,7 @@ def check_kkt(problem, x, ineq_multipliers=None, eq_multiplier=0.0):
     r = grad.copy()
     if problem.n_ineq and ineq_multipliers is not None:
         r += problem.ineq_matrix.T @ np.asarray(ineq_multipliers, dtype=float)
-    if problem.equality is not None:
-        r += eq_multiplier * problem.equality(x)[1]
+    r += eq_multiplier * problem.equality(x)[1]
     primal, _ = violation(problem, x)
     stationarity = float(np.linalg.norm(r) / max(1.0, np.linalg.norm(grad)))
     return {
@@ -193,7 +193,8 @@ class _Augmented:
     An evaluation is split so that a line search can take the hinge term
     from a residual it already has: `parts(z)` calls the problem's
     callables, `value(parts, r)` adds the hinge term for r = A z - b, and
-    `gradient(parts, r)` assembles the full gradient.
+    `gradient(parts, r)` assembles the full gradient.  g and grad g are
+    zero for a program without an equality.
     """
 
     def __init__(self, problem, lam, mu, rho):
@@ -206,10 +207,8 @@ class _Augmented:
         return self.A @ z - self.b
 
     def parts(self, z):
-        """(f, grad f, g, grad g) at z; g and grad g are None without an equality."""
+        """(f, grad f, g, grad g) at z."""
         f, grad = self.problem.objective(z)
-        if self.problem.equality is None:
-            return f, grad, None, None
         return (f, grad, *self.problem.equality(z))
 
     def hinge(self, r):
@@ -220,16 +219,11 @@ class _Augmented:
         f, _, e, _ = parts
         t = self.hinge(r)
         val = f + (float(t @ t) - self.lam_sq) / (2.0 * self.rho)
-        if e is not None:
-            val += self.mu * e + 0.5 * self.rho * e * e
-        return val
+        return val + (self.mu * e + 0.5 * self.rho * e * e)
 
     def gradient(self, parts, r):
         _, grad, e, eg = parts
-        grad = grad + self.A.T @ self.hinge(r)
-        if e is not None:
-            grad += (self.mu + self.rho * e) * eg
-        return grad
+        return grad + self.A.T @ self.hinge(r) + (self.mu + self.rho * e) * eg
 
 
 def _inner_minimize(al, x0, tol, params):
@@ -303,13 +297,13 @@ def _inner_minimize(al, x0, tol, params):
 def dense_h0_builder(problem, obj_hessian):
     """Gauss-Newton seed: (H_f + rho A_act^T A_act + rho eg eg^T + delta I)^{-1}.
 
-    `obj_hessian(x)` returns the dense objective Hessian.  The
-    indefinite curvature of the equality constraint is deliberately dropped:
-    the remaining model is positive semidefinite by construction.  Meant for
-    moderate dimensions (the masked normal matrix is formed densely).  The
-    active rows and rho often repeat from one inner iterate to the next, so
-    rho A_act^T A_act is kept for the last (mask, rho) and copied while it
-    repeats.
+    `obj_hessian(x)` returns the dense objective Hessian; `eq_grad` is an
+    array, zero without an equality.  The indefinite curvature of the
+    equality constraint is deliberately dropped: the remaining model is
+    positive semidefinite by construction.  Meant for moderate dimensions
+    (the masked normal matrix is formed densely).  The active rows and rho
+    often repeat from one inner iterate to the next, so rho A_act^T A_act is
+    kept for the last (mask, rho) and copied while it repeats.
     """
     A = problem.ineq_matrix
     diagonal = slice(None, None, problem.dim + 1)  # of H.ravel()
@@ -322,8 +316,7 @@ def dense_h0_builder(problem, obj_hessian):
             normal[:] = key, rho * (Am.T @ Am)
         H = normal[1].copy()  # C order, so H.ravel() below is a view
         H += obj_hessian(x)
-        if eq_grad is not None:
-            H += rho * np.outer(eq_grad, eq_grad)
+        H += rho * np.outer(eq_grad, eq_grad)
         H.ravel()[diagonal] += 1e-8 * max(1.0, float(np.max(np.abs(H))))
 
         def apply(q):
@@ -384,7 +377,7 @@ def solve_nlp(problem, x0, params=None):
 
         viol, g_eq = violation(problem, x)
         lam_hat = al.hinge(al.residual(x))
-        mu_hat = mu + rho * g_eq if problem.equality is not None else mu
+        mu_hat = mu + rho * g_eq
         report = check_kkt(problem, x, lam_hat, mu_hat)
         history.append(
             OuterRecord(

@@ -111,6 +111,20 @@ def test_solve_says_why_it_is_not_certified(tmp_path, outdir, capsys):
     )
 
 
+def test_a_converged_solve_prints_no_reason(tmp_path, outdir, capsys):
+    # this cell's winner breaks a constraint row by about 1e-8, inside the
+    # feasibility bound the solver certified it with
+    cfg = write(
+        tmp_path,
+        "run.yaml",
+        "container: square\np: 1\nalpha: 0.3\nmethod: fourier\nn: 64\nn_f: 6\nm: 64\nq: 128\n"
+        f"seeds: 0\noutput_dir: {outdir}\n",
+    )
+    assert main(["solve", cfg]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("fourier: energy=") and "status=converged" in line
+
+
 def test_compare_methods_writes_three_files(tmp_path, outdir):
     cfg = write(
         tmp_path,

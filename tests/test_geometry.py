@@ -110,6 +110,14 @@ def test_a_polygon_computes_its_centroid_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+def test_a_far_polygon_keeps_its_interior_point_inside(offset):
+    # the shoelace centroid cancels far from the origin: 10.6 outside at 1e6
+    spec = Polygon(np.array(named_container("pentagon").vertices) + offset)
+    v = spec.vertices
+    assert np.all(_cross2(np.roll(v, -1, axis=0) - v, interior_point(spec) - v) > 0)
+
+
 def test_degenerate_hulls_are_cores_but_not_polygons():
     np.testing.assert_array_equal(_hull_ccw([(1, 2), (1, 2), (1, 2)]), [[1, 2]])
     np.testing.assert_array_equal(_hull_ccw([(2, 2), (0, 0), (1, 1)]), [[0, 0], [2, 2]])

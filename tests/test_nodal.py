@@ -18,6 +18,7 @@ from convexfit.geometry import (
     Disk,
     GeometryError,
     MinkowskiSum,
+    PENTAGON_VERTICES,
     Polygon,
     Scaled,
     SupportSamples,
@@ -311,8 +312,7 @@ def band_by_band_seed(nlp, n, hess, eg, act, rho):
             H[idx, -1] += rho * d_gap
             H[-1, idx] += rho * d_gap
             H[-1, -1] += rho * float(np.sum(d_gap))
-    if eg is not None:
-        H += rho * np.outer(eg, eg)
+    H += rho * np.outer(eg, eg)
     H[np.arange(nlp.dim), np.arange(nlp.dim)] += 1e-8 * max(1.0, float(np.max(diag, initial=1.0)))
     return H
 
@@ -338,10 +338,8 @@ class TestNewtonSeed:
         lam -= rho * (A @ x - b)
         act = (lam + rho * (A @ x - b)) >= 0.0
         H = np.diag(hess) + rho * A[act].T @ A[act]
-        eg = None
-        if nlp.equality is not None:
-            eg = nlp.equality(x)[1]
-            H += rho * np.outer(eg, eg)
+        eg = nlp.equality(x)[1]
+        H += rho * np.outer(eg, eg)
         q = rng.standard_normal(nlp.dim)
         d = nlp.h0_builder(x, act, rho, eg)(q)
         assert np.linalg.norm(H @ d - q) <= 1e-6 * np.linalg.norm(q)
@@ -386,7 +384,7 @@ class TestNewtonSeed:
         x = rng.uniform(0.5, 1.0, nlp.dim)
         act = rng.uniform(size=nlp.n_ineq) < 0.5
         rho = 37.5
-        eg = nlp.equality(x)[1] if nlp.equality is not None else None
+        eg = nlp.equality(x)[1]
         seen = []
         monkeypatch.setattr(np.linalg, "solve", lambda H, q: seen.append(H.copy()))
         nlp.h0_builder(x, act, rho, eg)(np.zeros(nlp.dim))
@@ -578,6 +576,13 @@ def test_off_center_container_with_negative_support():
     assert abs(res.area_residual) <= 1e-8
     res_inf = solve_nodal(NodalProblem(spec, n=64, p=math.inf, alpha=0.25), seeds=2)
     assert res_inf.energy == pytest.approx(0.5, abs=1e-6)  # translation invariant
+
+
+def test_a_far_pentagon_solves():
+    # its shoelace centroid cancels 10.6 outside the body: the vertex mean stands in
+    far = Polygon(np.array(PENTAGON_VERTICES) + 1e6)
+    res = solve_nodal(NodalProblem(far, n=32, p=2.0, alpha=0.5), seeds=1)
+    assert np.isfinite(res.energy) and res.energy > 0.0
 
 
 def test_multistart_rerun_is_deterministic():

@@ -19,6 +19,7 @@ from convexfit.solver import (
     check_kkt,
     dense_h0_builder,
     solve_nlp,
+    violation,
 )
 
 
@@ -81,6 +82,26 @@ def test_multistart_without_inequality_rows():
     assert best.message == ""  # no aborts, and nothing left uncertified
     np.testing.assert_allclose(best.x, [0.5, 0.5], atol=1e-8)
     assert (best.status, best.kept_raw, best.start) == ("converged", False, 0)
+
+
+def test_a_program_without_an_equality_has_the_zero_one():
+    from test_multistart import _digest
+
+    results = []
+    for equality in (None, lambda x: (0.0, np.zeros(x.size))):
+        prob = NlpProblem(
+            dim=2,
+            objective=quadratic([2.0, 1.5]),
+            ineq_matrix=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+            ineq_rhs=np.array([1.0, 0.0, 0.0]),
+            equality=equality,
+        )
+        prob.h0_builder = dense_h0_builder(prob, lambda x: 2 * np.eye(2))
+        assert violation(prob, np.array([3.0, 0.0])) == (2.0, 0.0)
+        results.append(solve_nlp(prob, np.zeros(2)))
+    assert results[0].status == "converged"
+    np.testing.assert_allclose(results[0].x, [0.75, 0.25], atol=1e-8)
+    assert _digest(results[0]) == _digest(results[1])
 
 
 def test_multistart_raises_when_nothing_is_feasible():
