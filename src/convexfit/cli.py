@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .config import ConfigError, parse_config, serialize_config
@@ -19,10 +18,10 @@ from .exports import (
     export_history_csv,
     export_study_csv,
     export_svg,
+    fourier_figure,
     load_overlay_csv,
 )
 from .experiments import (
-    StudyConfig,
     compare_methods,
     equivalence_probe,
     f_curve,
@@ -46,33 +45,15 @@ def _load_config(path, args):
     return parse_config(text, {key: value for key, value in flags.items() if value is not None})
 
 
-def _study_config(cfg, alphas=None, ps=None):
-    return StudyConfig(
-        container=cfg.container,
-        container_name="run",
-        alphas=tuple(alphas or (cfg.alpha,)),
-        ps=tuple(ps or (cfg.p,)),
-        n=cfg.n,
-        n_f=cfg.n_f,
-        m=cfg.m,
-        q=cfg.q,
-        seeds=cfg.seeds,
-        base_seed=cfg.base_seed,
-        output_dir=cfg.output_dir,
-    )
-
-
-def _out(cfg, name):
-    return os.path.join(cfg.output_dir, name)
-
-
 def _emit_solve(cfg, result, tag):
-    export_csv(result.samples, _out(cfg, f"shape_{tag}.csv"))
-    export_history_csv(result.history, _out(cfg, f"history_{tag}.csv"))
-    export_svg(cfg.container, [result.samples], _out(cfg, f"shape_{tag}.svg"))
+    export_csv(result.samples, cfg.out_path(f"shape_{tag}.csv"))
+    export_history_csv(result.history, cfg.out_path(f"history_{tag}.csv"))
+    figure = result.samples
     if result.fourier_coefficients is not None:
         a, b = result.fourier_coefficients
-        export_fourier_csv(FourierShape(a, b), _out(cfg, f"coefficients_{tag}.csv"))
+        export_fourier_csv(FourierShape(a, b), cfg.out_path(f"coefficients_{tag}.csv"))
+        figure = fourier_figure(figure)
+    export_svg(cfg.container, [figure], cfg.out_path(f"shape_{tag}.svg"))
     print(
         f"{tag}: energy={result.energy:.9g} area={result.area:.9g} "
         f"area_residual={result.area_residual:.3g} status={result.status} "
@@ -100,7 +81,7 @@ def _cmd_solve(cfg):
 def _cmd_sweep_p(cfg):
     if cfg.ps is None:
         raise ConfigError("sweep-p requires the `ps` list", "ps")
-    rows, _ = gamma_sweep(_study_config(cfg, ps=cfg.ps))
+    rows, _ = gamma_sweep(cfg)
     for row in rows:
         print(
             f"p={row['p']:g} sigma={row['sigma_normalized']:.9g} "
@@ -112,7 +93,7 @@ def _cmd_sweep_p(cfg):
 def _cmd_sweep_alpha(cfg):
     if cfg.alphas is None:
         raise ConfigError("sweep-alpha requires the `alphas` list", "alphas")
-    rows = shape_gallery(_study_config(cfg, alphas=cfg.alphas, ps=cfg.ps))
+    rows = shape_gallery(cfg)
     for row in rows:
         print(f"p={row['p']:g} alpha={row['alpha']:g} energy={row['energy']:.9g} status={row['status']}")
     return 0
@@ -121,7 +102,7 @@ def _cmd_sweep_alpha(cfg):
 def _cmd_compare(cfg):
     if math.isinf(cfg.p):
         raise ConfigError("compare-methods needs a finite exponent (its Fourier branch)", "p")
-    report = compare_methods(_study_config(cfg))
+    report = compare_methods(cfg)
     for key in ("energy_fourier", "energy_nodal_cold", "energy_nodal_warm"):
         if key in report:
             print(f"{key} = {report[key]:.9g}")
@@ -136,7 +117,7 @@ def _cmd_compare(cfg):
 def _cmd_f_curve(cfg):
     if cfg.alphas is None:
         raise ConfigError("f-curve requires the `alphas` list", "alphas")
-    rows, violation = f_curve(_study_config(cfg, alphas=cfg.alphas))
+    rows, violation = f_curve(cfg)
     for row in rows:
         print(f"alpha={row['alpha']:g} f={row['f_value']:.9g} status={row['status']}")
     print(f"max_upward_violation = {violation:.3e}")
@@ -144,7 +125,7 @@ def _cmd_f_curve(cfg):
 
 
 def _cmd_equivalence(cfg):
-    report = equivalence_probe(_study_config(cfg))
+    report = equivalence_probe(cfg)
     print(
         f"f_value={report['f_value']:.9g} target_area={report['target_area']:.9g} "
         f"recovered_area={report['recovered_area']:.9g} relative_gap={report['relative_gap']:.3e} "
@@ -161,8 +142,8 @@ def _cmd_oracle(cfg):
         "name": name, "N": cfg.n, "p": cfg.p, "alpha": cfg.alpha,
         "G": cfg.oracle_grid, "energy": report.energy,
     }
-    export_study_csv(columns, [row], _out(cfg, f"oracle_{name}_n{cfg.n}.csv"))
-    export_csv(report.values, _out(cfg, f"oracle_{name}_n{cfg.n}_shape.csv"))
+    export_study_csv(columns, [row], cfg.out_path(f"oracle_{name}_n{cfg.n}.csv"))
+    export_csv(report.values, cfg.out_path(f"oracle_{name}_n{cfg.n}_shape.csv"))
     print(
         f"oracle energy={report.energy:.9g} area_slack={report.area_slack:.3g} "
         f"widened={report.widened}"
@@ -179,7 +160,7 @@ def _cmd_validate(cfg):
 
 def _cmd_export_svg(cfg, *shape_paths):
     shapes = [load_overlay_csv(path, cfg.n) for path in shape_paths]
-    path = _out(cfg, "shapes.svg")
+    path = cfg.out_path("shapes.svg")
     export_svg(cfg.container, shapes, path)
     print(f"wrote {path}")
     return 0

@@ -8,10 +8,10 @@ emits a canonical document that reparses to an equal configuration.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from .geometry import (
     Disk,
@@ -39,8 +39,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The configuration of a run and of every study (`experiments.StudyConfig`);
+    `container_name` is "run" when parsed, and `output_dir=None` writes no files."""
+
     container: object
     container_doc: object  # canonical form for serialization
+    container_name: str
     p: float = 2.0
     alpha: float = 0.5
     alphas: list | None = None
@@ -52,9 +56,12 @@ class RunConfig:
     q: int = 1024
     seeds: int = 4
     base_seed: int = 0
-    output_dir: str = "out"
+    output_dir: str | None = "out"
     oracle_grid: int = 25
     defaults_applied: list = field(default_factory=list)
+
+    def out_path(self, name):
+        return os.path.join(self.output_dir, name)
 
 
 # every top-level key but `container`, with its default
@@ -134,6 +141,8 @@ def parse_config(text, overrides=None):
     `overrides` (key -> value) replace the document's entries before
     validation, so they pass the same checks and count as set, not defaulted.
     """
+    import yaml  # here, not at the top: the studies import this module without parsing
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -211,6 +220,7 @@ def parse_config(text, overrides=None):
     return RunConfig(
         container=container,
         container_doc=container_doc,
+        container_name="run",
         p=p,
         alpha=alpha,
         alphas=alphas,
@@ -233,6 +243,7 @@ def serialize_config(cfg):
 
     Unset (None) keys are left out; an infinite exponent is written 'inf'.
     """
+    import yaml
 
     def token(v):
         return "inf" if isinstance(v, float) and math.isinf(v) else v

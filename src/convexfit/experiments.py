@@ -12,11 +12,11 @@ cell with no feasible start yields a NaN row with status
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .fourier import FourierProblem, solve_fourier
 from .geometry import (
     SupportSamples,
@@ -42,34 +42,19 @@ from .solver import SolverParams
 from . import exports
 
 
-@dataclass
-class StudyConfig:
-    """Shared knobs for the study drivers.
-
-    `alphas`/`ps` are the study grids (singletons for single-cell studies);
-    `output_dir=None` disables file output.
+def StudyConfig(container, container_name="container", alphas=(0.5,), ps=(2.0,), output_dir=None, **settings):
+    """The RunConfig of a study of `container` over the grids `alphas`/`ps`,
+    whose first entries are its fixed `alpha`/`p`.  `settings` are the other
+    RunConfig fields (n, n_f, m, q, seeds, base_seed); `output_dir=None`
+    writes no files.
     """
-
-    container: object
-    container_name: str = "container"
-    alphas: tuple = (0.5,)
-    ps: tuple = (2.0,)
-    n: int = 256
-    n_f: int = 32
-    m: int = 720
-    q: int = 1024
-    seeds: int = 4
-    base_seed: int = 0
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        if not self.alphas or not self.ps:
-            raise ValueError("alpha and p lists must be non-empty")
-        self.alphas = tuple(float(a) for a in self.alphas)
-        self.ps = tuple(float(p) for p in self.ps)
-
-    def out_path(self, name):
-        return os.path.join(self.output_dir, name)
+    alphas, ps = [float(a) for a in alphas], [float(p) for p in ps]
+    if not alphas or not ps:
+        raise ValueError("alpha and p lists must be non-empty")
+    return RunConfig(
+        container, None, container_name, p=ps[0], alpha=alphas[0], alphas=alphas, ps=ps,
+        output_dir=output_dir, **settings,
+    )
 
 
 def _maybe_svg(cfg, samples, name):
@@ -132,13 +117,12 @@ def gamma_sweep(cfg):
     nondecreasing in p by construction, with each solve free to improve on
     its warm start.  Rows are emitted in ascending p.
     """
-    alpha = cfg.alphas[0]
-    r_inf = _solve(cfg, 0, math.inf, alpha, f"gamma_{cfg.container_name}_pinf.svg")
+    r_inf = _solve(cfg, 0, math.inf, cfg.alpha, f"gamma_{cfg.container_name}_pinf.svg")
     rows = []
     chain = r_inf.samples
     for k, p in enumerate(sorted(cfg.ps, reverse=True)):
         res, row = _cell(
-            cfg, GAMMA_COLUMNS, k + 1, p, alpha, f"gamma_{cfg.container_name}_p{p:g}.svg",
+            cfg, GAMMA_COLUMNS, k + 1, p, cfg.alpha, f"gamma_{cfg.container_name}_p{p:g}.svg",
             init=chain, sigma_infinity=r_inf.energy,
         )
         if res is not None:
@@ -158,12 +142,14 @@ def compare_methods(cfg):
 
     All energies are evaluated on the common nodal grid.  The warm branch
     runs the same multistart as the cold branch plus the Fourier solution
-    as a privileged extra start, so by construction it can only improve on
-    both the Fourier energy and the cold branch.  The constraint grid m is
+    as an extra start, so its energy is at most the cold branch's.  It may
+    lose to the Fourier energy: the nodal area target is alpha times the
+    discrete container area, not the exact one, so the clipped, convexified
+    Fourier start may break the nodal area row.  The constraint grid m is
     rounded up to a multiple of n so the warm start inherits inclusion
     feasibility at the nodal angles.
     """
-    p, alpha = cfg.ps[0], cfg.alphas[0]
+    p, alpha = cfg.p, cfg.alpha
     report = {"p": p, "alpha": alpha}
     m_aligned = cfg.m if cfg.m % cfg.n == 0 else (cfg.m // cfg.n + 1) * cfg.n
     nodal_prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
@@ -178,7 +164,8 @@ def compare_methods(cfg):
             return None
         report[key] = result
         report[f"energy_{key}"] = energy_of(result.samples, nodal_prob)
-        _maybe_svg(cfg, result.samples, f"compare_{cfg.container_name}_{key}.svg")
+        figure = exports.fourier_figure(result.samples) if key == "fourier" else result.samples
+        _maybe_svg(cfg, figure, f"compare_{cfg.container_name}_{key}.svg")
         if cfg.output_dir is not None:
             exports.export_history_csv(
                 result.history, cfg.out_path(f"compare_{cfg.container_name}_{key}_history.csv")
@@ -205,7 +192,7 @@ def f_curve(cfg):
     alpha, so any increase between consecutive cells is solver noise.
     Each cell warm-starts from the last solved cell to its left.
     """
-    p = cfg.ps[0]
+    p = cfg.p
     rows = []
     chain = None
     for k, alpha in enumerate(cfg.alphas):
@@ -253,7 +240,7 @@ def equivalence_probe(cfg):
     energy; `stage1_beaten` is true when it lies below the stage-one
     optimum by more than feas_tol * max(1, f), so stage one was not global.
     """
-    p, alpha = cfg.ps[0], cfg.alphas[0]
+    p, alpha = cfg.p, cfg.alpha
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
     stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=seed_key(cfg.base_seed, 0))
     f_val = stage1.energy
@@ -377,9 +364,10 @@ GALLERY_COLUMNS = ["p", "alpha", "energy", "sigma_normalized", "area", "status"]
 
 
 def shape_gallery(cfg):
-    """Solve every (p, alpha) cell of the grid; one SVG per cell."""
+    """Solve every (p, alpha) cell of the grid, `ps` falling back to the
+    fixed p; one SVG per cell."""
     rows = []
-    for i, p in enumerate(cfg.ps):
+    for i, p in enumerate(cfg.ps or [cfg.p]):
         for j, alpha in enumerate(cfg.alphas):
             svg = f"gallery_{cfg.container_name}_p{p:g}_a{alpha:g}.svg"
             rows.append(_cell(cfg, GALLERY_COLUMNS, i * len(cfg.alphas) + j, p, alpha, svg)[1])

@@ -24,6 +24,7 @@ from .geometry import (
     reconstruct_boundary,
     unit_vector,
 )
+from .nodal import convexify
 
 SHAPE_HEADER = "theta,h"
 HISTORY_HEADER = "outer_iter,inner_iter,objective,area_residual,max_violation"
@@ -127,12 +128,20 @@ def load_fourier_csv(path):
     return FourierShape(_column(path, rows, 1), _column(path, rows[1:], 2))
 
 
+def fourier_figure(samples):
+    """What a Fourier shape's figure draws: the body its samples' half-planes
+    cut out (`nodal.convexify`).  Its program keeps convexity only at its m
+    angles, so the samples may break it by more than `export_svg` forgives."""
+    return SupportSamples(convexify(_values(samples)))
+
+
 def load_overlay_csv(path, n):
-    """A shape CSV as SupportSamples, or a coefficient CSV sampled on the n-point nodal grid."""
+    """A shape CSV as SupportSamples, or a coefficient CSV sampled on the
+    n-point nodal grid as its figure draws it (`fourier_figure`)."""
     with open(path) as handle:
         header = handle.readline().strip()
     if header == FOURIER_HEADER:
-        return fourier_to_nodal(load_fourier_csv(path), n)
+        return fourier_figure(fourier_to_nodal(load_fourier_csv(path), n))
     if header != SHAPE_HEADER:
         raise GeometryError(f"{path}: expected header {SHAPE_HEADER!r} or {FOURIER_HEADER!r}, got {header!r}")
     return load_shape_csv(path)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from convexfit import experiments
 from convexfit.cli import COMMANDS, main
 from convexfit.config import parse_config, serialize_config
+from convexfit.geometry import named_container
 
 ROOT = Path(__file__).resolve().parent.parent
 # `convexfit <command> <config> [...]` lines of the README's usage block
@@ -125,6 +127,28 @@ def test_a_converged_solve_prints_no_reason(tmp_path, outdir, capsys):
     assert line.startswith("fourier: energy=") and "status=converged" in line
 
 
+# square, p = 1, alpha = 0.3 at the default n = 256: the Fourier winner's
+# samples miss discrete convexity by 4e-6 between its m = 64 constraint angles
+FOURIER_CELL = "container: square\np: 1\nalpha: 0.3\nn_f: 6\nm: 64\nq: 128\nseeds: 0\n"
+
+
+def test_a_fourier_solve_draws_its_convexified_samples(tmp_path, outdir):
+    cfg = write(tmp_path, "both.yaml", f"{FOURIER_CELL}method: both\noutput_dir: {outdir}\n")
+    assert main(["solve", cfg]) == 0
+    assert sorted(os.listdir(outdir)) == [
+        "coefficients_fourier.csv", "history_fourier.csv", "history_nodal.csv", "shape_fourier.csv",
+        "shape_fourier.svg", "shape_nodal.csv", "shape_nodal.svg",
+    ]
+
+
+def test_export_svg_draws_a_fourier_coefficient_file_convexified(tmp_path, outdir):
+    solve_cfg = write(tmp_path, "fourier.yaml", f"{FOURIER_CELL}method: fourier\nn: 64\noutput_dir: {outdir}\n")
+    assert main(["solve", solve_cfg]) == 0
+    cfg = write(tmp_path, "cfg.yaml", f"{FOURIER_CELL}output_dir: {outdir}\n")
+    assert main(["export-svg", cfg, str(outdir / "coefficients_fourier.csv")]) == 0
+    assert (outdir / "shapes.svg").exists()
+
+
 def test_compare_methods_writes_three_files(tmp_path, outdir):
     cfg = write(
         tmp_path,
@@ -191,6 +215,36 @@ def test_sweep_alpha_solves_the_p_by_alpha_grid(tmp_path, outdir):
         cells = [(float(row["p"]), float(row["alpha"])) for row in csv.DictReader(table)]
     assert cells == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
     assert len(list(outdir.glob("*.svg"))) == 4
+
+
+# a config whose fixed p/alpha differ from its grids' first entries
+STUDY_SETTINGS = dict(n=24, n_f=6, m=48, q=64, seeds=1, base_seed=2)
+STUDY_CELL = "container: disk\np: 2\nalpha: 0.4\nps: [1, 4]\nalphas: [0.3, 0.6]\n" + "".join(
+    f"{key}: {value}\n" for key, value in STUDY_SETTINGS.items()
+)
+
+
+# each study command, its table, and the grids (alphas, ps) it solves
+STUDY_COMMANDS = [
+    ("sweep-p", "gamma_run.csv", experiments.gamma_sweep, (0.4,), (1, 4)),
+    ("f-curve", "fcurve_run.csv", experiments.f_curve, (0.3, 0.6), (2,)),
+    ("sweep-alpha", "gallery_run.csv", experiments.shape_gallery, (0.3, 0.6), (1, 4)),
+    ("compare-methods", "compare_run.csv", experiments.compare_methods, (0.4,), (2,)),
+    ("equivalence", "equivalence_run.csv", experiments.equivalence_probe, (0.4,), (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, table, study, alphas, ps", STUDY_COMMANDS, ids=[case[0] for case in STUDY_COMMANDS]
+)
+def test_a_study_command_solves_its_grids(tmp_path, command, table, study, alphas, ps):
+    cfg = write(tmp_path, "study.yaml", f"{STUDY_CELL}output_dir: {tmp_path / 'cli'}\n")
+    assert main([command, cfg]) == 0
+    study(experiments.StudyConfig(
+        named_container("disk"), "run", alphas=alphas, ps=ps, output_dir=str(tmp_path / "study"),
+        **STUDY_SETTINGS,
+    ))
+    assert (tmp_path / "cli" / table).read_bytes() == (tmp_path / "study" / table).read_bytes()
 
 
 def test_export_svg_overlays_shapes(tmp_path, outdir):

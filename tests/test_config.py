@@ -54,9 +54,11 @@ seeds: 2
 
 
 def test_unknown_top_level_key():
-    with pytest.raises(ConfigError) as err:
-        parse_config("container: disk\nwat: 3\n")
-    assert "wat" in str(err.value)
+    # `container_name` is a RunConfig field that no document sets
+    for key, value in (("wat", "3"), ("container_name", "x")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"container: disk\n{key}: {value}\n")
+        assert key in str(err.value)
 
 
 def test_a_solver_key_is_unknown():
