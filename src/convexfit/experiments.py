@@ -26,18 +26,10 @@ from .geometry import (
     grid_constants,
     hausdorff_from_supports,
     perimeter_from_support,
-    powered_gap,
     support_samples,
 )
-from .multistart import InfeasibleError, run_multistart, seed_key
-from .nodal import (
-    NodalProblem,
-    _gather_starts,
-    _nodal_nlp,
-    energy_of,
-    nodal_area,
-    solve_nodal,
-)
+from .multistart import InfeasibleError, seed_key
+from .nodal import NodalProblem, blend_to_area, energy_of, min_area_at_energy, solve_nodal
 from .solver import SolverParams
 from . import exports
 
@@ -211,28 +203,11 @@ def f_curve(cfg):
 EQUIVALENCE_COLUMNS = ["p", "alpha", "f_value", "target_area", "recovered_area", "area_gap"]
 
 
-def _blend_to_area(h, container_values, target):
-    """(1 - lam) h + lam h_C with lam in [0, 1] bisected to the area `target`
-    (lam = 0 when h already reaches it)."""
-    if nodal_area(h)[0] >= target:
-        return h
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if nodal_area((1.0 - mid) * h + mid * container_values)[0] >= target:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * h + hi * container_values
-
-
 def equivalence_probe(cfg):
     """Solve min-energy-at-area, then min-area-at-that-energy, and compare.
 
-    The second stage minimizes the discrete area subject to the powered
-    objective pinned at the stage-one optimum (for p = inf, and for f = 0
-    at any p: the box constraint h >= h_container - f), convexity and
-    inclusion.  Reports the recovered area against the stage-one target.
+    The second stage is `nodal.min_area_at_energy`; the report sets the
+    area it recovers against the stage-one target.
 
     It also checks stage one globally.  Blending the stage-two shape toward
     the container to the target area keeps it convex and inside, and scales
@@ -244,37 +219,12 @@ def equivalence_probe(cfg):
     prob = NodalProblem(cfg.container, n=cfg.n, p=p, alpha=alpha)
     stage1 = solve_nodal(prob, seeds=cfg.seeds, base_seed=seed_key(cfg.base_seed, 0))
     f_val = stage1.energy
-
-    n = prob.n
-    area_scale = prob.container_area_discrete
-    area_hess = np.full(n, 8.0 * grid_constants(n)[1] / area_scale)
-
-    def area_objective(x):
-        area, grad = nodal_area(x)
-        return area / area_scale, grad / area_scale
-
-    if math.isinf(p) or f_val == 0.0:
-        # at f = 0 every J_p pin says h = h_C, which box rows state linearly;
-        # a powered equality scaled by 1e-12 would swamp the Newton seed
-        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, None, gap_rhs=f_val - prob.container_values)
-    else:
-        target_powered = stage1.powered_value
-        eq_scale = max(target_powered, 1e-12)
-
-        def equality(x):
-            value, grad, _ = powered_gap(x, prob.container_values, p)
-            return (value - target_powered) / eq_scale, grad / eq_scale
-
-        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
-
-    starts = [stage1.samples.values.copy()]
-    starts += _gather_starts(prob, None, cfg.seeds, seed_key(cfg.base_seed, 1))[0]
     try:
-        winner = run_multistart(nlp, starts, None, lambda x: nodal_area(x)[0])
+        winner = min_area_at_energy(prob, stage1, cfg.seeds, seed_key(cfg.base_seed, 1))
     except InfeasibleError as exc:
         raise InfeasibleError(f"area-minimization stage: {exc}") from None
     area = winner.energy
-    blended = energy_of(_blend_to_area(winner.x, prob.container_values, prob.target_area), prob)
+    blended = energy_of(blend_to_area(winner.x, prob.container_values, prob.target_area), prob)
     feas_tol = SolverParams().feas_tol
     report = {
         "p": p,

@@ -272,6 +272,9 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     hold.
     """
     t0 = time.perf_counter()
+    _integer(n_samples, "n_samples")
+    if n_samples < 3:
+        raise GeometryError("n_samples must be >= 3")
 
     rows, m = prob.constraint_rows, prob.m
     rhs = np.concatenate([prob.container_on_constraints, np.zeros(m)])

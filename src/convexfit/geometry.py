@@ -232,6 +232,7 @@ def _values(h):
 
 def grid_angles(n):
     """The uniform angular grid theta_j = 2*pi*j/n, j = 0..n-1."""
+    _integer(n, "grid size")
     return TWO_PI * np.arange(n) / n
 
 

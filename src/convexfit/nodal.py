@@ -34,6 +34,7 @@ from .geometry import (
     grid_constants,
     interior_point,
     powered_energy,
+    powered_gap,
     support_samples,
     unit_vector,
 )
@@ -365,3 +366,51 @@ def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
         wall_time=time.perf_counter() - t0,
         base_seed=base_seed,
     )
+
+
+def blend_to_area(h, container_values, target):
+    """(1 - lam) h + lam h_C with lam in [0, 1] bisected to the area `target`
+    (lam = 0 when h already reaches it)."""
+    if nodal_area(h)[0] >= target:
+        return h
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if nodal_area((1.0 - mid) * h + mid * container_values)[0] >= target:
+            hi = mid
+        else:
+            lo = mid
+    return (1.0 - hi) * h + hi * container_values
+
+
+def min_area_at_energy(prob, stage1, seeds, base_seed):
+    """The multistart Winner of least discrete area at the energy f of
+    `stage1`, a `solve_nodal` result for `prob`: its powered gap pinned (box
+    rows h >= h_C - f at p = inf or f = 0), from stage one's shape, the
+    anchor and `seeds` random starts."""
+    n = prob.n
+    area_scale = prob.container_area_discrete
+    area_hess = np.full(n, 8.0 * grid_constants(n)[1] / area_scale)
+
+    def area_objective(x):
+        area, grad = nodal_area(x)
+        return area / area_scale, grad / area_scale
+
+    f_val = stage1.energy
+    if math.isinf(prob.p) or f_val == 0.0:
+        # at f = 0 every J_p pin says h = h_C, which box rows state linearly;
+        # a powered equality scaled by 1e-12 would swamp the Newton seed
+        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, None, gap_rhs=f_val - prob.container_values)
+    else:
+        target_powered = stage1.powered_value
+        eq_scale = max(target_powered, 1e-12)
+
+        def equality(x):
+            value, grad, _ = powered_gap(x, prob.container_values, prob.p)
+            return (value - target_powered) / eq_scale, grad / eq_scale
+
+        nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
+
+    starts = [stage1.samples.values.copy()]
+    starts += _gather_starts(prob, None, seeds, base_seed)[0]
+    return run_multistart(nlp, starts, None, lambda x: nodal_area(x)[0])

@@ -126,10 +126,10 @@ class TestEquivalenceProbe:
         )
         rows.h0_builder = dense_h0_builder(rows, lambda x: np.diag(np.full(1, 2.0)))
 
-        def stage2(nlp, starts, params, energy_fn):
-            return multistart.run_multistart(rows, [np.zeros(1)], params, energy_fn)
+        def stage2(prob, stage1, seeds, base_seed):
+            return multistart.run_multistart(rows, [np.zeros(1)], None, lambda x: float(x[0]))
 
-        monkeypatch.setattr(experiments, "run_multistart", stage2)
+        monkeypatch.setattr(experiments, "min_area_at_energy", stage2)
         cfg = small_cfg(DISK, "disk", alphas=(0.5,), ps=(4.0,), n=16, seeds=0)
         with pytest.raises(multistart.InfeasibleError) as err:
             equivalence_probe(cfg)

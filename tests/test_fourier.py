@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from convexfit import fourier
+from convexfit import fourier, multistart
 from convexfit.fourier import (
     FourierProblem,
     FourierShape,
@@ -28,10 +29,11 @@ from convexfit.fourier import (
     truncate_container,
 )
 from convexfit.geometry import (
-    PENTAGON_VERTICES, Disk, GeometryError, Polygon, named_container, powered_energy, support_eval
+    PENTAGON_VERTICES, TWO_PI, Disk, GeometryError, Polygon, named_container, powered_energy, support_eval
 )
 from convexfit.multistart import InfeasibleError
 from convexfit.solver import SolverParams, feasibility_bound, violation
+from test_geometry import HULL_POINTS, hull_polygon
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -371,6 +373,21 @@ class TestSolve:
         a, b = res.fourier_coefficients
         assert a.size == 7 and b.size == 6
 
+    @pytest.mark.parametrize("n_samples", [2, 5.5])
+    def test_n_samples_is_checked_before_the_solve(self, monkeypatch, n_samples):
+        # a bad sample grid must not cost a whole multistart first
+        calls, delegate = [], multistart.solve_nlp
+
+        def spy(*args):
+            calls.append(args)
+            return delegate(*args)
+
+        monkeypatch.setattr(multistart, "solve_nlp", spy)
+        prob = FourierProblem(SQUARE, n_f=4, m=32, q=32, p=2.0, alpha=0.5)
+        with pytest.raises(GeometryError, match="n_samples"):
+            solve_fourier(prob, seeds=0, n_samples=n_samples)
+        assert calls == []
+
     @pytest.mark.parametrize("name", ["square", "disk", "pentagon"])
     def test_a_winner_keeps_its_rows_within_the_feasibility_bound(self, monkeypatch, name):
         # run_multistart keeps only points within the bound, so a converged
@@ -418,6 +435,24 @@ class TestSolve:
         assert res.status == "converged"
         assert violation(nlp, x)[0] <= feasibility_bound(nlp, SolverParams())
         assert res.energy <= seen["energy_fn"](seen["anchor"])
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(HULL_POINTS, st.floats(0.0, 4.0).map(lambda e: 10.0**e), st.floats(0.05, 0.95))
+def test_a_solve_never_reports_energy_zero_or_inf_for_a_positive_gap(points, p, alpha):
+    # random hulls up to p = 1e4: a returned shape with a positive clamped gap
+    # g on the quadrature grid has 0 < J_p <= (2 pi)^(1/p) max g, however far
+    # g^p under- or overflows
+    prob = FourierProblem(hull_polygon(points), n_f=4, m=32, q=32, p=p, alpha=alpha)
+    try:
+        res = solve_fourier(prob, seeds=0)
+    except InfeasibleError:
+        return
+    x = FourierShape(*res.fourier_coefficients).to_vector()
+    gap = np.maximum(prob.container_on_quadrature - prob.quadrature_basis @ x, 0.0)
+    assume(np.max(gap) > 0.0)
+    assert 0.0 < res.energy <= TWO_PI ** (1.0 / p) * np.max(gap) * (1.0 + 1e-12)
 
 
 # Digests of three solves, taken before the problem held its bases (see

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convexfit.geometry import (
     _cross2,
@@ -26,6 +26,7 @@ from convexfit.geometry import (
     curvature_floor,
     convexity_tolerance,
     ensure_convex,
+    grid_angles,
     hausdorff_from_supports,
     inner_parallel,
     interior_point,
@@ -39,6 +40,8 @@ from convexfit.geometry import (
     support_samples,
     unit_vector,
 )
+from convexfit.fourier import fourier_to_nodal, truncate_container
+from convexfit.oracles import brute_force_nodal
 
 SQUARE = named_container("square")
 DISK = Disk((0.0, 0.0), 1.0)
@@ -178,6 +181,26 @@ class TestSupportSamples:
         off = Translated(Disk((0, 0), 0.5), (3.0, 0.0))
         h = support_samples(off, 16)
         assert np.min(h.values) < 0  # origin outside the body
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda: grid_angles(8.0),
+        lambda: support_samples(SQUARE, 4.5),
+        lambda: fourier_to_nodal(truncate_container(SQUARE, 4), 5.5),
+        lambda: brute_force_nodal(SQUARE, 4.5, 2.0, 0.5, 6),
+    ],
+    ids=["grid_angles", "support_samples", "fourier_to_nodal", "brute_force_nodal"],
+)
+def test_a_grid_size_must_be_an_integer(sample):
+    # 2 pi j / 4.5 are not the angles 2 pi j / 5 that five samples stand for
+    with pytest.raises(GeometryError, match="grid size must be an integer"):
+        sample()
+
+
+def test_a_numpy_integer_grid_size_is_the_same_grid():
+    assert np.array_equal(grid_angles(np.int64(5)), grid_angles(5))
 
 
 class TestPerimeter:
@@ -377,6 +400,18 @@ def _try_polygon(pts):
         return Polygon(np.asarray(pts))
     except GeometryError:
         return None
+
+
+# the points whose hull is a random convex polygon
+HULL_POINTS = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=8)
+
+
+def hull_polygon(points):
+    """The hull of `points` as a Polygon; a degenerate hull rejects the draw."""
+    try:
+        return Polygon(np.array(points))
+    except GeometryError:
+        assume(False)
 
 
 @settings(max_examples=40, deadline=None)

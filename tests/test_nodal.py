@@ -51,7 +51,7 @@ from convexfit.nodal import (
 )
 from convexfit.solver import SolverParams, certified, check_kkt, feasibility_bound, violation
 from test_fourier import _pinned_digests, _print_digests
-from test_geometry import chain_convexity_defect, reconstruction_tolerance
+from test_geometry import HULL_POINTS, chain_convexity_defect, hull_polygon, reconstruction_tolerance
 
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
@@ -463,18 +463,6 @@ def test_discrete_convexity_implies_geometric(seed):
     assert np.min(convexity_residuals(SupportSamples(values))) >= -1e-12
     chain = reconstruct_boundary(SupportSamples(values), tol=1e-11)
     assert chain_convexity_defect(chain) >= -reconstruction_tolerance(chain)
-
-
-# the points whose hull is a random convex polygon
-HULL_POINTS = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=8)
-
-
-def hull_polygon(points):
-    """The hull of `points` as a Polygon; a degenerate hull rejects the draw."""
-    try:
-        return Polygon(np.array(points))
-    except GeometryError:
-        assume(False)
 
 
 @settings(max_examples=60, deadline=None)
