@@ -20,10 +20,12 @@ from .geometry import (
     Translated,
     container_area,
     container_perimeter,
+    convexify,
     convexity_residuals,
     hausdorff_from_supports,
     inner_parallel,
     named_container,
+    nodal_area,
     perimeter_from_support,
     polygon_area,
     reconstruct_boundary,
@@ -43,8 +45,6 @@ from .fourier import (
 from .multistart import InfeasibleError, SolveResult
 from .nodal import (
     NodalProblem,
-    convexify,
-    nodal_area,
     nodal_constraints,
     solve_nodal,
 )

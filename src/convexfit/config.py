@@ -70,10 +70,11 @@ DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MIS
 
 def _parse_container(doc, key="container"):
     """(spec, canonical document) of a stock name or an inline spec mapping;
-    the document's entries are built only once the spec has validated them."""
+    the document's entries are built only once the spec has validated them,
+    and a name is kept as `named_container` reads it."""
     if isinstance(doc, str):
         try:
-            return named_container(doc), doc
+            return named_container(doc), doc.strip().lower()
         except GeometryError as exc:
             raise ConfigError(str(exc), key) from exc
     if not isinstance(doc, dict):

@@ -16,15 +16,14 @@ from .fourier import FourierShape, fourier_to_nodal
 from .geometry import (
     GeometryError,
     SupportSamples,
-    _rounded_core,
     _values,
+    boundary_points,
     container_bounds,
     container_scale,
+    convexify,
     grid_angles,
     reconstruct_boundary,
-    unit_vector,
 )
-from .nodal import convexify
 
 SHAPE_HEADER = "theta,h"
 HISTORY_HEADER = "outer_iter,inner_iter,objective,area_residual,max_violation"
@@ -38,13 +37,18 @@ def fmt(x):
 
 
 def atomic_write_text(path, text):
-    """Write-to-temp plus rename: no partially written file survives an error."""
+    """Write-to-temp plus rename: no partially written file survives an error.
+    The file gets the mode `open(path, "w")` would give it, 0o666 less the
+    umask (the temp file's own is 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,7 +134,7 @@ def load_fourier_csv(path):
 
 def fourier_figure(samples):
     """What a Fourier shape's figure draws: the body its samples' half-planes
-    cut out (`nodal.convexify`).  Its program keeps convexity only at its m
+    cut out (`geometry.convexify`).  Its program keeps convexity only at its m
     angles, so the samples may break it by more than `export_svg` forgives."""
     return SupportSamples(convexify(_values(samples)))
 
@@ -173,11 +177,7 @@ def export_svg(container, shapes, path):
         coords = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in zip(x, y))
         return f'<polygon points="{coords}" style="{style}" />'
 
-    # the container as core + rB (`geometry._rounded_core`): the core vertex
-    # farthest along u, moved by r u, is the boundary point with normal u
-    vertices, radius, _ = _rounded_core(container)
-    u = unit_vector(grid_angles(512))
-    outline = vertices[np.argmax(u @ vertices.T, axis=1)] + radius * u
+    outline = boundary_points(container, grid_angles(512))
     tol = 1e-6 * container_scale(container)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '

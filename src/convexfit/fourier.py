@@ -37,7 +37,7 @@ from .geometry import (
     powered_gap,
     support_eval,
 )
-from .multistart import InfeasibleError, SolveResult, run_multistart, seed_key
+from .multistart import InfeasibleError, SolveResult, check_seeds, run_multistart, seed_key
 from .solver import NlpProblem, dense_h0_builder
 
 TRUNCATION_GRID = 4096
@@ -275,6 +275,7 @@ def solve_fourier(prob, seeds=4, base_seed=0, params=None, n_samples=256):
     _integer(n_samples, "n_samples")
     if n_samples < 3:
         raise GeometryError("n_samples must be >= 3")
+    check_seeds(seeds, base_seed)
 
     rows, m = prob.constraint_rows, prob.m
     rhs = np.concatenate([prob.container_on_constraints, np.zeros(m)])

@@ -3,11 +3,11 @@
 A convex body K is encoded by h_K(theta) = sup{<(cos theta, sin theta), y> :
 y in K}.  Containers are symbolic (polygon, disk, stadium, Minkowski sums,
 scalings, translations); each has one normal form conv(core) + r B
-(`_rounded_core`), and its support, area, perimeter, interior point and
-inner parallel bodies are all read from it.  A `ContainerSpec` subclass
-defined outside this module has no normal form and is refused.  Candidate
-shapes are nodal samples of a support function on the uniform angular grid
-theta_j = 2*pi*j/N, j = 0..N-1 (indices wrap modulo N).
+(`_rounded_core`), only read in this module: support, boundary points, area,
+perimeter, interior point and inner parallel bodies.  A `ContainerSpec`
+subclass defined outside this module has no normal form and is refused.
+Candidate shapes are nodal samples of a support function on the uniform
+angular grid theta_j = 2*pi*j/N, j = 0..N-1 (indices wrap modulo N).
 """
 
 from __future__ import annotations
@@ -192,6 +192,14 @@ def support_eval(spec, theta):
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
+def boundary_points(spec, theta):
+    """The boundary point(s) with outer normal u(theta): the core vertex
+    farthest along u, moved by r u; theta may be scalar or array."""
+    vertices, radius, _ = _rounded_core(spec)
+    u = unit_vector(theta)
+    return vertices[np.argmax(u @ vertices.T, axis=-1)] + radius * u
+
+
 # ---------------------------------------------------------------------------
 # nodal support samples
 # ---------------------------------------------------------------------------
@@ -265,6 +273,38 @@ def convexity_residuals(h):
     c[..., -1] = v[..., 0] + v[..., -2]
     c -= grid_constants(v.shape[-1])[0] * v
     return c
+
+
+def nodal_area(h):
+    """Discrete area (pi/N)/(2-2cos(2pi/N)) * sum h_j c_j and its gradient.
+
+    Exact for constants: h == r gives pi r^2 on every grid.
+    """
+    v = _values(h)
+    kappa = grid_constants(v.size)[1]
+    c = convexity_residuals(v)
+    return float(kappa * np.sum(v * c)), 2.0 * kappa * c
+
+
+def convexify(values):
+    """Largest discretely-convex minorant of the given nodal values.
+
+    Equals the sampled support function of the polygon cut out by the
+    half-planes <x, u(theta_j)> <= v_j, so the result is exactly feasible
+    for the discrete convexity condition.  (Iterative local averaging of
+    the violating nodes converges to the same kind of minorant, but needs
+    far more than 10 N sweeps to clear the last 1e-8; the polygon route is
+    exact and O(N^2).)  Only ever lowers values, preserving inclusion.
+    """
+    v = np.asarray(values, dtype=float)
+    u = unit_vector(grid_angles(v.size))
+    r = 2.0 * float(np.max(np.abs(v))) + 1.0
+    pts = np.array([[r, r], [-r, r], [-r, -r], [r, -r]])
+    for u_j, v_j in zip(u, v):
+        pts = _clip_halfplane(pts, u_j, v_j)
+        if len(pts) < 3:
+            raise GeometryError("convexification emptied the shape")
+    return np.min(np.stack([np.max(pts @ u.T, axis=0), v]), axis=0)
 
 
 def convexity_tolerance(h):
@@ -466,16 +506,21 @@ def _core_area_perimeter(vertices):
     return polygon_area(vertices - grid * np.round(vertices[0] / grid)), perimeter
 
 
+def core_measures(spec):
+    """(|core|, P(core), r) of the normal form conv(core) + r B."""
+    vertices, radius, _ = _rounded_core(spec)
+    return (*_core_area_perimeter(vertices), radius)
+
+
 def container_perimeter(spec):
     """Exact perimeter P(core) + 2 pi r."""
-    vertices, radius, _ = _rounded_core(spec)
-    return _core_area_perimeter(vertices)[1] + TWO_PI * radius
+    _, perimeter, radius = core_measures(spec)
+    return perimeter + TWO_PI * radius
 
 
 def container_area(spec):
     """Exact area |core| + r P(core) + pi r^2 (Steiner)."""
-    vertices, radius, _ = _rounded_core(spec)
-    area, perimeter = _core_area_perimeter(vertices)
+    area, perimeter, radius = core_measures(spec)
     return float(area + radius * perimeter + np.pi * radius**2)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SupportSamples
+from .geometry import GeometryError, SupportSamples, _integer
 from .solver import (
     NlpResult, SolverAbort, SolverParams, certified, check_kkt, feasibility_bound, solve_nlp, violation
 )
@@ -29,6 +29,16 @@ from .solver import (
 
 class InfeasibleError(RuntimeError):
     """No feasible start or iterate was found."""
+
+
+def check_seeds(seeds, base_seed):
+    """GeometryError unless `seeds` is an integer >= 0 and `base_seed` is one
+    or a list or tuple of them."""
+    parts = base_seed if isinstance(base_seed, (tuple, list)) else [base_seed]
+    for value, what in [(seeds, "seeds")] + [(s, "base_seed") for s in parts]:
+        _integer(value, what)
+        if value < 0:
+            raise GeometryError(f"{what} must be >= 0, got {value!r}")
 
 
 def seed_key(base_seed, index):

@@ -24,21 +24,22 @@ import numpy as np
 from .geometry import (
     GeometryError,
     SupportSamples,
-    _clip_halfplane,
     _integer,
     _values,
     container_scale,
+    convexify,
     convexity_residuals,
     gap_model,
     grid_angles,
     grid_constants,
     interior_point,
+    nodal_area,
     powered_energy,
     powered_gap,
     support_samples,
     unit_vector,
 )
-from .multistart import SolveResult, run_multistart, seed_key
+from .multistart import SolveResult, check_seeds, run_multistart, seed_key
 from .solver import NlpProblem
 
 INIT_SCALE_RANGE = (0.3, 1.0)
@@ -78,17 +79,6 @@ class NodalProblem:
         return grid_angles(self.n)
 
 
-def nodal_area(h):
-    """Discrete area (pi/N)/(2-2cos(2pi/N)) * sum h_j c_j and its gradient.
-
-    Exact for constants: h == r gives pi r^2 on every grid.
-    """
-    v = _values(h)
-    kappa = grid_constants(v.size)[1]
-    c = convexity_residuals(v)
-    return float(kappa * np.sum(v * c)), 2.0 * kappa * c
-
-
 @dataclass
 class ConstraintReport:
     inclusion: np.ndarray  # h_C(theta_j) - h_j, feasible when >= 0
@@ -117,27 +107,6 @@ def nodal_constraints(h, prob):
 def energy_of(h, prob):
     """Energy J_p of a candidate, J_inf (its largest gap) included."""
     return powered_energy(_values(h), prob.container_values, prob.p)[1]
-
-
-def convexify(values):
-    """Largest discretely-convex minorant of the given nodal values.
-
-    Equals the sampled support function of the polygon cut out by the
-    half-planes <x, u(theta_j)> <= v_j, so the result is exactly feasible
-    for the discrete convexity condition.  (Iterative local averaging of
-    the violating nodes converges to the same kind of minorant, but needs
-    far more than 10 N sweeps to clear the last 1e-8; the polygon route is
-    exact and O(N^2).)  Only ever lowers values, preserving inclusion.
-    """
-    v = np.asarray(values, dtype=float)
-    u = unit_vector(grid_angles(v.size))
-    r = 2.0 * float(np.max(np.abs(v))) + 1.0
-    pts = np.array([[r, r], [-r, r], [-r, -r], [r, -r]])
-    for u_j, v_j in zip(u, v):
-        pts = _clip_halfplane(pts, u_j, v_j)
-        if len(pts) < 3:
-            raise GeometryError("convexification emptied the shape")
-    return np.min(np.stack([np.max(pts @ u.T, axis=0), v]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +146,7 @@ def _prepare_init(init, prob):
 
 
 def _gather_starts(prob, init, seeds, base_seed):
+    check_seeds(seeds, base_seed)
     zu = unit_vector(prob.angles) @ interior_point(prob.container)
     starts = []
     if init is not None:

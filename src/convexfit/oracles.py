@@ -18,19 +18,18 @@ from .geometry import (
     GeometryError,
     SupportSamples,
     TWO_PI,
-    _core_area_perimeter,
-    _rounded_core,
     container_area,
     convexity_residuals,
+    core_measures,
     curvature_floor,  # re-exported: the bound within which the oracle applies
     grid_constants,
     inner_parallel,
+    nodal_area,
     perimeter_from_support,
     powered_energy,
     support_samples,
 )
 from .multistart import per_cpu_map
-from .nodal import nodal_area
 
 BRUTE_FORCE_MAX_POINTS = 1e8
 
@@ -43,7 +42,7 @@ def inner_parallel_optimum(container, alpha):
     """(offset d, inner parallel body) solving the Hausdorff problem exactly.
 
     Valid whenever the required offset stays within the curvature floor r
-    of the container.  With container = core + rB (`geometry._rounded_core`)
+    of the container.  With container = core + rB (`geometry.core_measures`)
     the body at d = r - rho has area |core| + P(core) rho + pi rho^2, so rho
     is that quadratic's positive root at alpha |K|, written without
     cancellation.  An offset beyond the floor, or one that reaches it on a
@@ -54,8 +53,7 @@ def inner_parallel_optimum(container, alpha):
         raise GeometryError("area fraction alpha must lie in [0, 1]")
     if alpha == 1.0:
         return 0.0, container
-    vertices, floor, _ = _rounded_core(container)
-    core_area, core_perimeter = _core_area_perimeter(vertices)
+    core_area, core_perimeter, floor = core_measures(container)
     excess = alpha * container_area(container) - core_area
     if excess < 0.0:
         raise OracleNotApplicable(

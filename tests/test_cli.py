@@ -189,6 +189,19 @@ def test_oracle_writes_fixture_row(tmp_path, outdir):
     assert (outdir / "oracle_disk_n5_shape.csv").exists()
 
 
+def test_a_stock_name_is_stored_as_named_container_reads_it(tmp_path, outdir):
+    # " Disk" used to be kept as written, and named the oracle file after it
+    text = f'container: " Disk"\np: 2\nalpha: 0.25\nn: 5\noracle_grid: 4\noutput_dir: {outdir}\n'
+    cfg = parse_config(text)
+    assert cfg.container_doc == "disk"
+    assert "container: disk\n" in serialize_config(cfg)
+    nested = parse_config('container: {type: scaled, factor: 2, base: " Square "}\n')
+    assert nested.container_doc["base"] == "square"
+    assert main(["oracle", write(tmp_path, "oracle.yaml", text)]) == 0
+    assert sorted(os.listdir(outdir)) == ["oracle_disk_n5.csv", "oracle_disk_n5_shape.csv"]
+    assert (outdir / "oracle_disk_n5.csv").read_text().splitlines()[1].startswith("disk,5,")
+
+
 def test_sweep_p_and_f_curve(tmp_path, outdir, capsys):
     cfg = write(
         tmp_path,

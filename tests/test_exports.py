@@ -2,6 +2,7 @@
 
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ def test_svg_container_outline_lies_on_the_boundary(tmp_path, name):
     scale = SVG_SIZE / (1.1 * max(xmax - xmin, ymax - ymin))  # the view box has a 5 % margin
     area = abs(polygon_area(px)) / scale**2
     assert area == pytest.approx(container_area(container), rel=1e-12)
+
+
+def test_a_written_file_gets_the_mode_of_a_plain_open(tmp_path):
+    # the temp file mkstemp makes is 0o600, and the rename used to keep that
+    old = os.umask(0o022)
+    try:
+        target = tmp_path / "table.csv"
+        for _ in range(2):  # a rewrite keeps the mode too
+            export_study_csv(["a"], [{"a": 1.0}], target)
+            assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
+        os.umask(0o077)
+        export_svg(DISK, [], tmp_path / "figure.svg")
+        assert stat.S_IMODE(os.stat(tmp_path / "figure.svg").st_mode) == 0o600
+    finally:
+        os.umask(old)
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):

@@ -38,6 +38,21 @@ from test_geometry import HULL_POINTS, hull_polygon
 DISK = Disk((0.0, 0.0), 1.0)
 SQUARE = named_container("square")
 SRC = Path(__file__).resolve().parent.parent / "src"
+# (keyword arguments of a shape solve, the GeometryError they raise): numpy
+# used to take 2.7 as seed 2, refuse -1 with its own error, or read True as 1
+BAD_SEEDS = pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seeds": -3}, "^seeds must be >= 0"),
+        ({"seeds": 2.5}, "^seeds must be an integer"),
+        ({"seeds": True}, "^seeds must be an integer"),
+        ({"base_seed": 2.7}, "^base_seed must be an integer"),
+        ({"base_seed": -1}, "^base_seed must be >= 0"),
+        ({"base_seed": [0, 1.5]}, "^base_seed must be an integer"),
+        ({"base_seed": (0, -2)}, "^base_seed must be >= 0"),
+    ],
+    ids=["seeds_negative", "seeds_float", "seeds_bool", "base_float", "base_negative", "list_float", "tuple_negative"],
+)
 
 
 def workload_problem():
@@ -387,6 +402,28 @@ class TestSolve:
         with pytest.raises(GeometryError, match="n_samples"):
             solve_fourier(prob, seeds=0, n_samples=n_samples)
         assert calls == []
+
+    @BAD_SEEDS
+    def test_seeds_are_checked_before_the_solve(self, monkeypatch, kwargs, message):
+        calls, delegate = [], multistart.solve_nlp
+
+        def spy(*args):
+            calls.append(args)
+            return delegate(*args)
+
+        monkeypatch.setattr(multistart, "solve_nlp", spy)
+        prob = FourierProblem(SQUARE, n_f=4, m=32, q=32, p=2.0, alpha=0.5)
+        with pytest.raises(GeometryError, match=message):
+            solve_fourier(prob, **{"seeds": 1, **kwargs})
+        assert calls == []
+
+    def test_numpy_and_list_seeds_are_the_same_seeds(self):
+        prob = FourierProblem(SQUARE, n_f=4, m=32, q=32, p=2.0, alpha=0.5)
+        ref = solve_fourier(prob, seeds=1, base_seed=3, n_samples=32)
+        for seeds, base_seed in [(np.int64(1), np.int64(3)), (1, [3]), (1, (np.int64(3),))]:
+            res = solve_fourier(prob, seeds=seeds, base_seed=base_seed, n_samples=32)
+            assert res.energy == ref.energy
+            np.testing.assert_array_equal(res.samples.values, ref.samples.values)
 
     @pytest.mark.parametrize("name", ["square", "disk", "pentagon"])
     def test_a_winner_keeps_its_rows_within_the_feasibility_bound(self, monkeypatch, name):

@@ -20,8 +20,10 @@ from convexfit.geometry import (
     SupportSamples,
     TWO_PI,
     Translated,
+    boundary_points,
     container_area,
     container_perimeter,
+    container_scale,
     convexity_residuals,
     curvature_floor,
     convexity_tolerance,
@@ -201,6 +203,24 @@ def test_a_grid_size_must_be_an_integer(sample):
 
 def test_a_numpy_integer_grid_size_is_the_same_grid():
     assert np.array_equal(grid_angles(np.int64(5)), grid_angles(5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named_container(name) for name in ("disk", "square", "stadium", "triangle", "pentagon")]
+    + [
+        MinkowskiSum(SQUARE, Disk(radius=0.3)),
+        Scaled(STADIUM, 2.0),
+        Translated(named_container("pentagon"), (3.0, -1.0)),
+    ],
+    ids=["disk", "square", "stadium", "triangle", "pentagon", "rounded_square", "scaled_stadium", "moved_pentagon"],
+)
+def test_boundary_points_lie_on_the_supporting_lines(spec):
+    # <b(theta), u(theta)> = h(theta): b is on the boundary, and u is a normal there
+    theta = grid_angles(512)
+    heights = np.sum(boundary_points(spec, theta) * unit_vector(theta), axis=1)
+    np.testing.assert_allclose(heights, support_eval(spec, theta), rtol=0, atol=1e-12 * container_scale(spec))
+    assert boundary_points(spec, 0.25) @ unit_vector(0.25) == pytest.approx(support_eval(spec, 0.25), abs=1e-12)
 
 
 class TestPerimeter:

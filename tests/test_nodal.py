@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from convexfit import nodal
+from convexfit import multistart, nodal
 from convexfit.experiments import StudyConfig, equivalence_probe, gamma_sweep
 from convexfit.fourier import FourierProblem
 from convexfit.geometry import (
@@ -50,7 +50,7 @@ from convexfit.nodal import (
     _random_start,
 )
 from convexfit.solver import SolverParams, certified, check_kkt, feasibility_bound, violation
-from test_fourier import _pinned_digests, _print_digests
+from test_fourier import BAD_SEEDS, _pinned_digests, _print_digests
 from test_geometry import HULL_POINTS, chain_convexity_defect, hull_polygon, reconstruction_tolerance
 
 DISK = Disk((0.0, 0.0), 1.0)
@@ -580,6 +580,35 @@ def test_multistart_rerun_is_deterministic():
     assert first.energy == again.energy
     assert first.best_start == again.best_start
     np.testing.assert_array_equal(first.samples.values, again.samples.values)
+
+
+@BAD_SEEDS
+def test_seeds_are_checked_before_the_solve(monkeypatch, kwargs, message):
+    prob = NodalProblem(DISK, n=16, p=2.0, alpha=0.5)
+    stage1 = solve_nodal(prob, seeds=0)
+    calls, delegate = [], multistart.solve_nlp
+
+    def spy(*args):
+        calls.append(args)
+        return delegate(*args)
+
+    monkeypatch.setattr(multistart, "solve_nlp", spy)
+    kwargs = {"seeds": 1, "base_seed": 0, **kwargs}
+    with pytest.raises(GeometryError, match=message):
+        solve_nodal(prob, **kwargs)
+    # the equivalence probe's area stage draws its starts the same way
+    with pytest.raises(GeometryError, match=message):
+        nodal.min_area_at_energy(prob, stage1, kwargs["seeds"], kwargs["base_seed"])
+    assert calls == []
+
+
+def test_numpy_and_list_seeds_are_the_same_seeds():
+    prob = NodalProblem(DISK, n=24, p=2.0, alpha=0.25)
+    ref = solve_nodal(prob, seeds=2, base_seed=3)
+    for seeds, base_seed in [(np.int64(2), np.int64(3)), (2, [3]), (2, (np.int64(3),))]:
+        res = solve_nodal(prob, seeds=seeds, base_seed=base_seed)
+        assert res.energy == ref.energy
+        np.testing.assert_array_equal(res.samples.values, ref.samples.values)
 
 
 def test_target_area_uses_discrete_container_measure():
