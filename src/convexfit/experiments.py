@@ -134,10 +134,10 @@ def compare_methods(cfg):
 
     All energies are evaluated on the common nodal grid.  The warm branch
     runs the same multistart as the cold branch plus the Fourier solution
-    as an extra start, so its energy is at most the cold branch's.  It may
-    lose to the Fourier energy: the nodal area target is alpha times the
-    discrete container area, not the exact one, so the clipped, convexified
-    Fourier start may break the nodal area row.  The constraint grid m is
+    as an extra start, so its energy is at most the cold branch's.  The
+    nodal area target is alpha times the discrete container area, not the
+    exact one, so `solve_nodal` scales the clipped, convexified Fourier
+    start to it when it breaks the area row.  The constraint grid m is
     rounded up to a multiple of n so the warm start inherits inclusion
     feasibility at the nodal angles.
     """

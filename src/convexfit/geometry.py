@@ -412,18 +412,18 @@ def hausdorff_from_supports(h1, h2):
 
 
 def reconstruct_boundary(h, tol=None):
-    """Boundary points x = h cos - h' sin, y = h sin + h' cos (central h').
+    """Vertices of the polygon cut out by the support lines <x, u_j> = h_j:
+    (h_j sin t_{j+1} - h_{j+1} sin t_j, h_{j+1} cos t_j - h_j cos t_{j+1}) /
+    sin(2 pi/N) between the normals t_j and t_{j+1}.  Its support at each
+    t_j is h_j, and its area sum h_j c_j / (2 sin(2 pi/N)).
 
-    Requires discretely convex samples (to `tol`, see ensure_convex); the
-    resulting chain is convex up to the geometric tolerance.
+    Requires discretely convex samples (to `tol`, see ensure_convex).
     """
     h = ensure_convex(h, tol=tol)
-    v = h.values
-    theta = h.angles
-    dtheta = TWO_PI / h.n
-    hp = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dtheta)
-    cos, sin = np.cos(theta), np.sin(theta)
-    return np.column_stack([v * cos - hp * sin, v * sin + hp * cos])
+    v, v_next = h.values, np.roll(h.values, -1)
+    cos, sin = np.cos(h.angles), np.sin(h.angles)
+    cos_next, sin_next = np.roll(cos, -1), np.roll(sin, -1)
+    return np.column_stack([v * sin_next - v_next * sin, v_next * cos - v * cos_next]) / math.sin(TWO_PI / h.n)
 
 
 def polygon_area(chain):

@@ -40,7 +40,7 @@ from .geometry import (
     unit_vector,
 )
 from .multistart import SolveResult, check_seeds, run_multistart, seed_key
-from .solver import NlpProblem
+from .solver import NlpProblem, SolverParams, feasibility_bound
 
 INIT_SCALE_RANGE = (0.3, 1.0)
 
@@ -122,11 +122,10 @@ def _anchor_start(prob, zu):
     return math.sqrt(prob.alpha) * radial + zu
 
 
-def _random_start(prob, zu, rng):
+def _scale_to_target(v, prob, zu):
+    """`v` scaled about the interior point to the target area, the factor
+    capped by inclusion (unchanged when v - zu has no area)."""
     radial = prob.container_values - zu
-    lo, hi = INIT_SCALE_RANGE
-    v = rng.uniform(lo, hi, size=prob.n) * radial + zu
-    v = convexify(v)
     w = v - zu
     area = nodal_area(w)[0]
     if area > 1e-12 * max(prob.target_area, 1.0):
@@ -138,20 +137,30 @@ def _random_start(prob, zu, rng):
     return v
 
 
-def _prepare_init(init, prob):
+def _random_start(prob, zu, rng):
+    lo, hi = INIT_SCALE_RANGE
+    v = rng.uniform(lo, hi, size=prob.n) * (prob.container_values - zu) + zu
+    return _scale_to_target(convexify(v), prob, zu)
+
+
+def _prepare_init(init, prob, zu, feas):
+    """The warm start clipped into the container, convexified, and scaled to
+    the target if it breaks the area row by more than `feas` (a start from
+    another discretization aims at alpha times the exact container area)."""
     v = _values(init)
     if v.size != prob.n:
         raise GeometryError(f"warm start has {v.size} nodes, problem needs {prob.n}")
-    return convexify(np.minimum(v, prob.container_values))
+    v = convexify(np.minimum(v, prob.container_values))
+    if abs(nodal_constraints(v, prob).area_residual) > feas:
+        v = _scale_to_target(v, prob, zu)
+    return v
 
 
-def _gather_starts(prob, init, seeds, base_seed):
+def _gather_starts(prob, seeds, base_seed):
+    """The anchor and `seeds` random starts, and zu = <z, u(theta_j)>."""
     check_seeds(seeds, base_seed)
     zu = unit_vector(prob.angles) @ interior_point(prob.container)
-    starts = []
-    if init is not None:
-        starts.append(_prepare_init(init, prob))
-    starts.append(_anchor_start(prob, zu))
+    starts = [_anchor_start(prob, zu)]
     for i in range(seeds):
         rng = np.random.default_rng(seed_key(base_seed, i))
         starts.append(_random_start(prob, zu, rng))
@@ -312,15 +321,18 @@ def _program(prob, zu):
 def solve_nodal(prob, init=None, seeds=4, base_seed=0, params=None):
     """Best-of-multistart solve of the nodal problem, for every p.
 
-    `init` (a SupportSamples warm start) is clipped into the container and
-    convexified, then competes with the deterministic scaled-copy anchor and
-    `seeds` random feasible starts.  `_program` chooses the program for p
-    and its measure, which ranks the starts and gives the reported values
+    `init` (a SupportSamples warm start) is clipped into the container,
+    convexified and, if it breaks the area row, scaled to the target; then
+    it competes with the deterministic scaled-copy anchor and `seeds` random
+    feasible starts.  `_program` chooses the program for p and its measure,
+    which ranks the starts and gives the reported values
     (at p = inf the slack t clamped at 0, the Hausdorff-distance estimate).
     """
     t0 = time.perf_counter()
-    starts, zu = _gather_starts(prob, init, seeds, base_seed)
+    starts, zu = _gather_starts(prob, seeds, base_seed)
     nlp, lift, measure = _program(prob, zu)
+    if init is not None:
+        starts.insert(0, _prepare_init(init, prob, zu, feasibility_bound(nlp, params or SolverParams())))
     winner = run_multistart(nlp, [lift(v) for v in starts], params, lambda x: measure(x)[1])
     values = winner.x[: prob.n]
     area = nodal_area(values)[0]
@@ -382,5 +394,5 @@ def min_area_at_energy(prob, stage1, seeds, base_seed):
         nlp = _nodal_nlp(prob, area_objective, lambda x: area_hess, equality)
 
     starts = [stage1.samples.values.copy()]
-    starts += _gather_starts(prob, None, seeds, base_seed)[0]
+    starts += _gather_starts(prob, seeds, base_seed)[0]
     return run_multistart(nlp, starts, None, lambda x: nodal_area(x)[0])

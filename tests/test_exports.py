@@ -25,10 +25,12 @@ from convexfit.geometry import (
     SupportSamples,
     container_area,
     container_bounds,
+    convexity_residuals,
     named_container,
     polygon_area,
     support_samples,
 )
+from convexfit.nodal import NodalProblem, solve_nodal
 from convexfit.solver import OuterRecord
 
 DISK = Disk((0.0, 0.0), 1.0)
@@ -191,6 +193,21 @@ def test_svg_container_outline_lies_on_the_boundary(tmp_path, name):
     scale = SVG_SIZE / (1.1 * max(xmax - xmin, ymax - ymin))  # the view box has a 5 % margin
     area = abs(polygon_area(px)) / scale**2
     assert area == pytest.approx(container_area(container), rel=1e-12)
+
+
+def test_svg_shape_outline_is_the_polygon_of_its_support_lines(tmp_path):
+    # a solver's shape is drawn as the polygon its N support lines cut out,
+    # whose area is sum h_j c_j / (2 sin(2 pi/N))
+    container = named_container("pentagon")
+    shape = solve_nodal(NodalProblem(container, n=32, p=2.0, alpha=0.5), seeds=0).samples
+    path = tmp_path / "shape.svg"
+    export_svg(container, [shape], path)
+    points = re.findall(r'<polygon points="([^"]*)"', path.read_text())[1]
+    px = np.array([pair.split(",") for pair in points.split()], dtype=float)
+    xmin, xmax, ymin, ymax = container_bounds(container)
+    scale = SVG_SIZE / (1.1 * max(xmax - xmin, ymax - ymin))  # the view box has a 5 % margin
+    expected = 0.5 * np.sum(shape.values * convexity_residuals(shape)) / np.sin(2 * np.pi / shape.n)
+    assert abs(polygon_area(px)) / scale**2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_a_written_file_gets_the_mode_of_a_plain_open(tmp_path):

@@ -33,6 +33,7 @@ from convexfit.geometry import (
     inner_parallel,
     interior_point,
     named_container,
+    nodal_area,
     perimeter_from_support,
     polygon_area,
     powered_energy,
@@ -58,16 +59,16 @@ def chain_convexity_defect(chain):
 
 
 def reconstruction_tolerance(chain):
-    """Chain-convexity tolerance for central-difference reconstructions.
+    """Chain-convexity tolerance for reconstructed polygons.
 
-    Samples of bodies with corners reconstruct with O(diam^3 / N^3) concave
-    wobble where a stencil straddles a corner (measured on square, triangle
-    and pentagon samples); smooth bodies stay at rounding level.
+    The polygon of discretely convex samples is convex up to rounding: its
+    edge between two vertices has length c_j / sin(2 pi/N) >= 0 (the most
+    negative cross product is -4.7e-14 on the stock containers at N = 128
+    to 512).
     """
     pts = np.asarray(chain, dtype=float)
     diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    n = len(pts)
-    return 1e-8 * max(1.0, diam) ** 2 + 8.0 * diam**3 / n**3
+    return 1e-8 * max(1.0, diam) ** 2
 
 
 class TestSupportEval:
@@ -323,9 +324,10 @@ class TestInnerParallel:
 
 class TestReconstruction:
     def test_unit_circle(self):
+        # the circumscribed 64-gon: its vertices sit at 1/cos(pi/64)
         chain = reconstruct_boundary(support_samples(DISK, 64))
         radii = np.hypot(chain[:, 0], chain[:, 1])
-        np.testing.assert_allclose(radii, 1.0, atol=1e-12)
+        np.testing.assert_allclose(radii, 1.0 / np.cos(np.pi / 64), atol=1e-12)
 
     def test_square_chain_close_to_boundary(self):
         chain = reconstruct_boundary(support_samples(SQUARE, 360))
@@ -341,7 +343,7 @@ class TestReconstruction:
     def test_translated_disk(self):
         chain = reconstruct_boundary(support_samples(Disk((1.0, 0.0), 1.0), 4096))
         radii = np.hypot(chain[:, 0] - 1.0, chain[:, 1])
-        np.testing.assert_allclose(radii, 1.0, atol=1e-10)
+        np.testing.assert_allclose(radii, 1.0 / np.cos(np.pi / 4096), atol=1e-10)
 
     def test_rejects_nonconvex(self):
         values = np.ones(16)
@@ -393,7 +395,7 @@ class TestPolygonArea:
 
     def test_regular_ngon(self):
         chain = reconstruct_boundary(support_samples(DISK, 360))
-        assert polygon_area(chain) == pytest.approx((360 / 2) * np.sin(2 * np.pi / 360), abs=1e-12)
+        assert polygon_area(chain) == pytest.approx(360 * np.tan(np.pi / 360), abs=1e-12)
         assert polygon_area(chain) == pytest.approx(np.pi, abs=2e-4)
 
     def test_degenerate(self):
@@ -532,6 +534,22 @@ def test_reconstructed_chain_is_convex(name, n):
     assert chain_convexity_defect(chain) >= -reconstruction_tolerance(chain)
 
 
+@pytest.mark.parametrize("name", ["pentagon", "square", "triangle", "stadium", "disk"])
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_reconstruction_is_the_polygon_of_the_support_lines(name, n):
+    # the polygon has support h_j at its own normals, the closed-form area
+    # sum h_j c_j / (2 sin dtheta), and nodal_area is (dtheta/2) cot(dtheta/2)
+    # times that area
+    h = support_samples(named_container(name), n)
+    chain = reconstruct_boundary(h)
+    support = np.max(chain @ unit_vector(grid_angles(n)).T, axis=0)
+    np.testing.assert_allclose(support, h.values, rtol=0, atol=1e-13 * np.max(np.abs(h.values)))
+    dtheta = TWO_PI / n
+    area = polygon_area(chain)
+    assert area == pytest.approx(0.5 * np.sum(h.values * convexity_residuals(h)) / np.sin(dtheta), rel=1e-11)
+    assert nodal_area(h)[0] == pytest.approx(0.5 * dtheta / np.tan(0.5 * dtheta) * area, rel=1e-11)
+
+
 def test_container_perimeter_closed_forms():
     assert container_perimeter(SQUARE) == pytest.approx(8.0)
     assert container_perimeter(STADIUM) == pytest.approx(4 + 2 * np.pi)
@@ -571,9 +589,9 @@ def _boundary_area(spec, n=4096, eps=1e-7):
     difference of step eps) at n uniform normals, and more where a polygon
     vertex may hide between two of them.
 
-    `reconstruct_boundary` differentiates across the grid step instead, which
-    moves the points beside each polygon edge normal off the boundary: its
-    area errs to first order in 1/n (5.9e-4 relative on the stock triangle at
+    `reconstruct_boundary` cuts the polygon of the n grid support lines
+    instead, which overhangs each edge whose normal misses the grid: its area
+    errs to first order in 1/n (7.9e-4 relative on the stock triangle at
     n = 4096).  Uniform normals also miss a vertex whose normal cone is
     narrower than their step, as in sums of polygons with nearly parallel
     edges; so an interval of normals is bisected while its two points differ
